@@ -75,7 +75,7 @@ std::vector<std::string> template_keys() {
 class MutexShardedTemplateCache {
 public:
   std::shared_ptr<const ramble::CompiledTemplate> get(std::string_view text) {
-    Shard& shard = shards_[support::TransparentStringHash{}(text) % kShards];
+    Shard& shard = shards_[support::SampledStringHash{}(text) % kShards];
     {
       std::lock_guard<std::mutex> lock(shard.mu);
       auto it = shard.map.find(text);
@@ -92,7 +92,7 @@ private:
     std::mutex mu;
     std::unordered_map<std::string,
                        std::shared_ptr<const ramble::CompiledTemplate>,
-                       support::TransparentStringHash, std::equal_to<>>
+                       support::SampledStringHash, std::equal_to<>>
         map;
   };
   Shard shards_[kShards];

@@ -1,22 +1,17 @@
 #include "src/buildcache/binary_cache.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "src/obs/trace.hpp"
 #include "src/support/error.hpp"
 #include "src/support/fault.hpp"
-#include "src/support/hash.hpp"
 
 namespace benchpark::buildcache {
 
 BinaryCache::BinaryCache(double base_latency_seconds, double bytes_per_second)
-    : base_latency_seconds_(base_latency_seconds),
+    : SnapshotCache("buildcache", "pushes"),
+      base_latency_seconds_(base_latency_seconds),
       bytes_per_second_(bytes_per_second) {}
-
-BinaryCache::Shard& BinaryCache::shard_for(std::string_view dag_hash) const {
-  return shards_[support::fnv1a(dag_hash) % kShards];
-}
 
 std::optional<CacheEntry> BinaryCache::fetch(const spec::Spec& concrete) {
   auto& collector = obs::TraceCollector::global();
@@ -43,181 +38,55 @@ std::optional<CacheEntry> BinaryCache::fetch(const spec::Spec& concrete) {
       injected += base_latency_seconds_;  // re-request round trip
     }
   }
-  // Lock-free hit path: one atomic snapshot load, no shard mutex.
-  auto map = shard_for(hash).snapshot.load();
-  auto it = map->find(std::string_view(hash));
-  if (it == map->end()) {
-    misses_.fetch_add(1, std::memory_order_release);
-    collector.counter_add("buildcache.misses");
-    span.annotate("outcome", "miss");
-    return std::nullopt;
-  }
-  hits_.fetch_add(1, std::memory_order_release);
-  collector.counter_add("buildcache.hits");
-  span.annotate("outcome", "hit");
-  CacheEntry entry = it->second;
-  entry.injected_latency_seconds = injected;
+  auto entry = lookup(hash);
+  span.annotate("outcome", entry ? "hit" : "miss");
+  if (entry) entry->injected_latency_seconds = injected;
   return entry;
 }
 
 void BinaryCache::push(const spec::Spec& concrete, std::uint64_t size_bytes) {
-  auto& collector = obs::TraceCollector::global();
-  obs::ScopedSpan span(collector, "push", "buildcache");
+  obs::ScopedSpan span(obs::TraceCollector::global(), "push", "buildcache");
   auto hash = concrete.dag_hash();
   if (span.active()) {
     span.annotate("hash", hash);
     span.annotate("bytes", std::to_string(size_bytes));
   }
   support::fault_hit("buildcache.push", hash);
-  CacheEntry entry;
-  entry.dag_hash = hash;
-  entry.short_spec = concrete.short_str();
-  entry.size_bytes = size_bytes;
-  entry.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
-  // Counted before the entry becomes visible: a concurrent evictor can
-  // only evict a published entry, so evictions <= pushes always holds in
-  // stats() snapshots.
-  pushes_.fetch_add(1, std::memory_order_release);
-  collector.counter_add("buildcache.pushes");
-  Shard& shard = shard_for(hash);
-  {
-    // Copy-on-write publish: readers keep seeing the old snapshot until
-    // the new one lands in one atomic store.
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto next = std::make_shared<Map>(*shard.snapshot.load());
-    auto it = next->find(std::string_view(hash));
-    // An overwrite only changes the total by the size delta.
-    std::uint64_t old_bytes = it == next->end() ? 0 : it->second.size_bytes;
-    total_bytes_.fetch_add(size_bytes, std::memory_order_relaxed);
-    total_bytes_.fetch_sub(old_bytes, std::memory_order_relaxed);
-    next->insert_or_assign(std::move(hash), std::move(entry));
-    shard.snapshot.store(std::move(next));
-  }
-  evict_to_capacity();
-}
-
-void BinaryCache::set_capacity_bytes(std::uint64_t bytes) {
-  capacity_bytes_.store(bytes, std::memory_order_relaxed);
-  evict_to_capacity();
-}
-
-void BinaryCache::evict_to_capacity() {
-  const std::uint64_t capacity =
-      capacity_bytes_.load(std::memory_order_relaxed);
-  if (capacity == 0) return;  // unbounded
-  if (total_bytes_.load(std::memory_order_relaxed) <= capacity) return;
-  auto& collector = obs::TraceCollector::global();
-  std::lock_guard<std::mutex> evict_lock(evict_mu_);
-  while (total_bytes_.load(std::memory_order_relaxed) > capacity) {
-    // Find the globally oldest entry from the lock-free snapshots.
-    Shard* oldest_shard = nullptr;
-    std::string oldest_hash;
-    std::uint64_t oldest_sequence = 0;
-    for (auto& shard : shards_) {
-      auto map = shard.snapshot.load();
-      for (const auto& [hash, entry] : *map) {
-        if (oldest_shard == nullptr || entry.sequence < oldest_sequence) {
-          oldest_shard = &shard;
-          oldest_hash = hash;
-          oldest_sequence = entry.sequence;
-        }
-      }
-    }
-    if (oldest_shard == nullptr) return;  // raced to empty
-    std::lock_guard<std::mutex> lock(oldest_shard->mu);
-    auto next = std::make_shared<Map>(*oldest_shard->snapshot.load());
-    auto it = next->find(std::string_view(oldest_hash));
-    // A concurrent overwrite refreshed the entry: leave the new artifact
-    // alone and rescan.
-    if (it == next->end() || it->second.sequence != oldest_sequence) {
-      continue;
-    }
-    total_bytes_.fetch_sub(it->second.size_bytes, std::memory_order_relaxed);
-    evictions_.fetch_add(1, std::memory_order_release);
-    collector.counter_add("buildcache.evictions");
-    if (collector.enabled()) {
-      collector.instant("evict", "buildcache",
-                        {{"hash", it->second.dag_hash},
-                         {"bytes", std::to_string(it->second.size_bytes)}});
-    }
-    next->erase(it);
-    oldest_shard->snapshot.store(std::move(next));
-  }
-}
-
-bool BinaryCache::contains(const spec::Spec& concrete) const {
-  auto hash = concrete.dag_hash();
-  auto map = shard_for(hash).snapshot.load();
-  return map->count(std::string_view(hash)) > 0;
-}
-
-std::size_t BinaryCache::size() const {
-  std::size_t total = 0;
-  for (auto& shard : shards_) total += shard.snapshot.load()->size();
-  return total;
+  insert(hash, CacheEntry{hash, concrete.short_str(), size_bytes});
 }
 
 CacheStats BinaryCache::stats() const {
-  // Torn-read-free snapshot: effect counters are read before their cause
-  // counters (acquire loads pairing with the release increments), so the
-  // returned struct always satisfies evictions <= pushes and retries <=
-  // what the hit/miss totals imply — no impossible intermediate states.
-  CacheStats s;
-  s.evictions = evictions_.load(std::memory_order_acquire);
-  s.retries = retries_.load(std::memory_order_acquire);
-  s.pushes = pushes_.load(std::memory_order_acquire);
-  s.misses = misses_.load(std::memory_order_acquire);
-  s.hits = hits_.load(std::memory_order_acquire);
-  return s;
+  // Retries first: they are caused by fetches the later reads include.
+  CacheStats out;
+  out.retries = retries_.load(std::memory_order_acquire);
+  const auto generic = SnapshotCache::stats();
+  out.hits = generic.hits;
+  out.misses = generic.misses;
+  out.pushes = generic.inserts;
+  out.evictions = generic.evictions;
+  return out;
 }
 
 std::vector<CacheEntry> BinaryCache::export_entries() const {
   std::vector<CacheEntry> out;
-  for (auto& shard : shards_) {
-    auto map = shard.snapshot.load();
-    for (const auto& [hash, entry] : *map) out.push_back(entry);
+  for (auto& e : SnapshotCache::export_entries()) {
+    out.push_back(std::move(e.value));
   }
-  std::sort(out.begin(), out.end(),
-            [](const CacheEntry& a, const CacheEntry& b) {
-              return a.sequence < b.sequence;
-            });
   return out;
 }
 
 void BinaryCache::restore(const std::vector<CacheEntry>& entries,
                           const CacheStats& stats) {
-  {
-    std::lock_guard<std::mutex> evict_lock(evict_mu_);
-    std::array<Map, kShards> maps;
-    std::uint64_t max_sequence = 0;
-    for (CacheEntry entry : entries) {
-      entry.injected_latency_seconds = 0.0;  // transient, never persisted
-      max_sequence = std::max(max_sequence, entry.sequence);
-      auto& map = maps[support::fnv1a(entry.dag_hash) % kShards];
-      std::string hash = entry.dag_hash;
-      map.insert_or_assign(std::move(hash), std::move(entry));
-    }
-    std::uint64_t bytes = 0;
-    for (const auto& map : maps) {
-      for (const auto& [hash, entry] : map) bytes += entry.size_bytes;
-    }
-    for (std::size_t i = 0; i < kShards; ++i) {
-      std::lock_guard<std::mutex> lock(shards_[i].mu);
-      shards_[i].snapshot.store(std::make_shared<Map>(std::move(maps[i])));
-    }
-    total_bytes_.store(bytes, std::memory_order_relaxed);
-    // The next push must sort after every restored entry, or eviction
-    // order would interleave old and new artifacts.
-    next_sequence_.store(max_sequence + 1, std::memory_order_relaxed);
-    // Reverse of the stats() read order so a concurrent snapshot never
-    // observes an impossible intermediate state (evictions > pushes).
-    hits_.store(stats.hits, std::memory_order_release);
-    misses_.store(stats.misses, std::memory_order_release);
-    pushes_.store(stats.pushes, std::memory_order_release);
-    retries_.store(stats.retries, std::memory_order_release);
-    evictions_.store(stats.evictions, std::memory_order_release);
+  std::vector<Entry> generic;
+  generic.reserve(entries.size());
+  for (const auto& e : entries) {
+    generic.push_back({e.dag_hash, e, e.sequence});
+    generic.back().value.injected_latency_seconds = 0.0;  // never stored
   }
-  evict_to_capacity();
+  SnapshotCache::restore(std::move(generic),
+                         {stats.hits, stats.misses, stats.pushes,
+                          stats.evictions, 0});
+  support::raise_to(retries_, stats.retries);  // read first, raised last
 }
 
 double BinaryCache::fetch_cost_seconds(std::uint64_t size_bytes) const {

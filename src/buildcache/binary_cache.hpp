@@ -3,31 +3,25 @@
 // available to all Spack users ... focusing the time to build
 // applications on only the dependencies with special requirements."
 //
-// A thread-safe, hash-addressed build mirror. Entries are keyed by the
-// concrete spec's DAG hash and sharded; each shard publishes an immutable
-// RCU-style snapshot (support/snapshot.hpp), so the steady-state read
-// path — fetch hits, contains, size — is a single atomic load with zero
-// locks. Writers copy the shard map under the shard mutex and publish
-// atomically; hit/miss/push counters are atomics (release increments,
-// acquire snapshot reads — see stats()). Fetch latency is modeled (mirror
-// round-trip plus size over sustained bandwidth) — the decision logic
-// (what is mirrored, what is rebuilt) is fully real.
+// A thread-safe, hash-addressed build mirror: an instantiation of
+// support::SnapshotCache keyed by the concrete spec's DAG hash and
+// weighted by artifact size, so the capacity is in bytes and the oldest
+// push rolls off first. What is the binary cache's own: the
+// fault-retrying fetch with its `retries` counter, the spec-level push,
+// and the transfer-cost model (mirror round-trip plus size over sustained
+// bandwidth). Fetch latency is modeled — the decision logic (what is
+// mirrored, what is rebuilt) is fully real.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/spec/spec.hpp"
-#include "src/support/hash.hpp"
-#include "src/support/snapshot.hpp"
+#include "src/support/snapshot_cache.hpp"
 
 namespace benchpark::buildcache {
 
@@ -36,8 +30,8 @@ struct CacheEntry {
   std::string dag_hash;
   std::string short_spec;  // human-readable "name@version" for logs
   std::uint64_t size_bytes = 0;
-  /// Push order (process-wide, 1-based). The *rolling* cache evicts the
-  /// oldest sequence first when over capacity; an overwrite refreshes it.
+  /// Push order (process-wide, 1-based), kept by the cache. The rolling
+  /// cache evicts the oldest sequence first; an overwrite refreshes it.
   std::uint64_t sequence = 0;
   /// Modeled extra seconds this fetch paid to injected faults (failed
   /// attempts re-request the mirror; latency rules add delay). Set on the
@@ -45,10 +39,9 @@ struct CacheEntry {
   double injected_latency_seconds = 0.0;
 };
 
-/// Cumulative counters; snapshot via BinaryCache::stats(). Snapshots are
-/// torn-read-free: within one struct, evictions <= pushes always holds,
-/// and every counter is monotone across successive snapshots (release
-/// increments read back in causal order with acquire loads).
+/// The binary cache's counters as persisted ("binary.stats"): the
+/// generic ones, with inserts named `pushes`, plus fetch retries.
+/// Torn-read-free like support::SnapshotCacheStats.
 struct CacheStats {
   std::size_t hits = 0;
   std::size_t misses = 0;
@@ -66,15 +59,22 @@ struct CacheStats {
   }
 };
 
-class BinaryCache {
+/// Weigher: an artifact weighs its size in bytes.
+struct ArtifactBytes {
+  std::uint64_t operator()(const CacheEntry& e) const { return e.size_bytes; }
+};
+
+class BinaryCache : private support::SnapshotCache<CacheEntry, ArtifactBytes> {
 public:
   /// Default transfer model: 20 ms mirror round-trip latency plus 1 GB/s
   /// sustained download bandwidth.
-  BinaryCache() = default;
+  BinaryCache() : BinaryCache(0.02, 1.0e9) {}
   BinaryCache(double base_latency_seconds, double bytes_per_second);
 
-  BinaryCache(const BinaryCache&) = delete;
-  BinaryCache& operator=(const BinaryCache&) = delete;
+  /// Lookup by DAG hash that does not touch the hit/miss counters.
+  using SnapshotCache::contains;
+  /// Number of distinct mirrored artifacts.
+  using SnapshotCache::size;
 
   /// Mirror lookup; counts a hit or a miss. The request passes through
   /// the "buildcache.fetch" fault site: transient faults are retried
@@ -94,37 +94,17 @@ public:
   /// same DAG hash.
   void push(const spec::Spec& concrete, std::uint64_t size_bytes);
 
-  /// Lookup that does not touch the hit/miss counters.
-  [[nodiscard]] bool contains(const spec::Spec& concrete) const;
-
-  /// Number of distinct mirrored artifacts.
-  [[nodiscard]] std::size_t size() const;
-
   /// Rolling-cache capacity in bytes; 0 (the default) is unbounded.
-  /// When a push takes the cache over capacity, oldest-pushed artifacts
-  /// are evicted until it fits again — an artifact larger than the whole
-  /// capacity is evicted immediately after its own push.
-  void set_capacity_bytes(std::uint64_t bytes);
-  [[nodiscard]] std::uint64_t capacity_bytes() const {
-    return capacity_bytes_.load(std::memory_order_relaxed);
-  }
-  /// Bytes currently mirrored across all shards.
-  [[nodiscard]] std::uint64_t total_bytes() const {
-    return total_bytes_.load(std::memory_order_relaxed);
-  }
+  void set_capacity_bytes(std::uint64_t bytes) { set_capacity(bytes); }
+  [[nodiscard]] std::uint64_t capacity_bytes() const { return capacity(); }
+  /// Bytes currently mirrored.
+  [[nodiscard]] std::uint64_t total_bytes() const { return weight(); }
 
   [[nodiscard]] CacheStats stats() const;
 
-  /// Every mirrored entry, sorted by push sequence (oldest first) so
-  /// persisted snapshots are deterministic. injected_latency_seconds is
-  /// transient and always zero here.
+  /// Every mirrored entry, oldest push first.
   [[nodiscard]] std::vector<CacheEntry> export_entries() const;
-
-  /// Replace contents and counters from a persisted snapshot. Entries
-  /// keep their original sequences and are published through the normal
-  /// copy-on-write snapshot path, so oldest-sequence-first eviction order
-  /// survives a persist/reload cycle; stats() resumes from `stats`
-  /// instead of resetting to zero.
+  /// Warm start from a persisted snapshot (SnapshotCache::restore).
   void restore(const std::vector<CacheEntry>& entries,
                const CacheStats& stats);
 
@@ -132,37 +112,10 @@ public:
   [[nodiscard]] double fetch_cost_seconds(std::uint64_t size_bytes) const;
 
 private:
-  static constexpr std::size_t kShards = 16;
-
-  using Map = std::unordered_map<std::string, CacheEntry,
-                                 support::TransparentStringHash,
-                                 std::equal_to<>>;
-  /// Readers load `snapshot` lock-free; writers serialize on `mu`,
-  /// copy the current map, mutate the copy, and publish it.
-  struct Shard {
-    std::mutex mu;
-    support::SnapshotPtr<Map> snapshot;
-  };
-
-  [[nodiscard]] Shard& shard_for(std::string_view dag_hash) const;
-  /// Evict oldest-sequence entries until total_bytes_ fits the capacity.
-  void evict_to_capacity();
-
-  double base_latency_seconds_ = 0.02;
-  double bytes_per_second_ = 1.0e9;
+  double base_latency_seconds_;
+  double bytes_per_second_;
   int fetch_retries_ = 2;
-  mutable std::array<Shard, kShards> shards_;
-  /// Serializes evictions (never held while a shard mutex is already
-  /// held; lock order is evict_mu_ -> shard.mu).
-  std::mutex evict_mu_;
-  std::atomic<std::uint64_t> capacity_bytes_{0};
-  std::atomic<std::uint64_t> total_bytes_{0};
-  std::atomic<std::uint64_t> next_sequence_{1};
-  std::atomic<std::size_t> hits_{0};
-  std::atomic<std::size_t> misses_{0};
-  std::atomic<std::size_t> pushes_{0};
   std::atomic<std::size_t> retries_{0};
-  std::atomic<std::size_t> evictions_{0};
 };
 
 }  // namespace benchpark::buildcache

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "src/obs/trace.hpp"
 #include "src/support/hash.hpp"
 
 namespace benchpark::concretizer {
@@ -56,184 +55,6 @@ std::string canonical_spec_hash(const spec::Spec& abstract) {
 ConcretizationCache& ConcretizationCache::global() {
   static ConcretizationCache instance;
   return instance;
-}
-
-ConcretizationCache::Shard& ConcretizationCache::shard_for(
-    std::string_view key) const {
-  return shards_[support::fnv1a(key) % kShards];
-}
-
-ConcretizationCache::SharedSpec ConcretizationCache::lookup(
-    std::string_view key) {
-  auto& collector = obs::TraceCollector::global();
-  // Lock-free hit path: one atomic snapshot load, heterogeneous find.
-  auto map = shard_for(key).snapshot.load();
-  auto it = map->find(key);
-  if (it != map->end()) {
-    hits_.fetch_add(1, std::memory_order_release);
-    collector.counter_add("concretizer.cache.hits");
-    return it->second.spec;
-  }
-  misses_.fetch_add(1, std::memory_order_release);
-  collector.counter_add("concretizer.cache.misses");
-  return nullptr;
-}
-
-ConcretizationCache::SharedSpec ConcretizationCache::insert(
-    const std::string& key, spec::Spec concrete) {
-  auto shared = std::make_shared<const spec::Spec>(std::move(concrete));
-  Shard& shard = shard_for(key);
-  // Counted before the entry is published so a concurrent evictor or
-  // invalidator can never make evictions/invalidations exceed inserts in
-  // a stats() snapshot.
-  inserts_.fetch_add(1, std::memory_order_release);
-  obs::TraceCollector::global().counter_add("concretizer.cache.inserts");
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto next = std::make_shared<Map>(*shard.snapshot.load());
-    Entry& entry = (*next)[key];
-    if (!entry.spec) size_.fetch_add(1, std::memory_order_relaxed);
-    entry.spec = shared;
-    entry.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
-    shard.snapshot.store(std::move(next));
-  }
-  if (capacity_.load(std::memory_order_relaxed) != 0) evict_to_capacity();
-  return shared;
-}
-
-bool ConcretizationCache::invalidate(std::string_view key) {
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto next = std::make_shared<Map>(*shard.snapshot.load());
-  auto it = next->find(key);
-  if (it == next->end()) return false;
-  next->erase(it);
-  shard.snapshot.store(std::move(next));
-  size_.fetch_sub(1, std::memory_order_relaxed);
-  invalidations_.fetch_add(1, std::memory_order_release);
-  obs::TraceCollector::global().counter_add(
-      "concretizer.cache.invalidations");
-  return true;
-}
-
-void ConcretizationCache::clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.snapshot.store(std::make_shared<const Map>());
-  }
-  size_.store(0, std::memory_order_relaxed);
-}
-
-void ConcretizationCache::set_capacity(std::size_t max_entries) {
-  capacity_.store(max_entries, std::memory_order_relaxed);
-  if (max_entries != 0) evict_to_capacity();
-}
-
-void ConcretizationCache::evict_to_capacity() {
-  std::lock_guard<std::mutex> evict_lock(evict_mu_);
-  const std::size_t capacity = capacity_.load(std::memory_order_relaxed);
-  if (capacity == 0) return;
-  while (size_.load(std::memory_order_relaxed) > capacity) {
-    // Find the globally oldest entry (smallest sequence) from the
-    // lock-free snapshots.
-    Shard* victim_shard = nullptr;
-    std::string victim_key;
-    std::uint64_t victim_seq = UINT64_MAX;
-    for (auto& shard : shards_) {
-      auto map = shard.snapshot.load();
-      for (const auto& [key, entry] : *map) {
-        if (entry.sequence < victim_seq) {
-          victim_seq = entry.sequence;
-          victim_key = key;
-          victim_shard = &shard;
-        }
-      }
-    }
-    if (!victim_shard) return;
-    std::lock_guard<std::mutex> lock(victim_shard->mu);
-    auto next = std::make_shared<Map>(*victim_shard->snapshot.load());
-    // Re-check: the entry may have been refreshed or dropped since the
-    // scan; erase only the exact (key, sequence) pair we chose.
-    auto it = next->find(std::string_view(victim_key));
-    if (it == next->end() || it->second.sequence != victim_seq) {
-      continue;
-    }
-    next->erase(it);
-    victim_shard->snapshot.store(std::move(next));
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    evictions_.fetch_add(1, std::memory_order_release);
-    obs::TraceCollector::global().counter_add("concretizer.cache.evictions");
-  }
-}
-
-void ConcretizationCache::for_each_entry(
-    const std::function<void(const std::string&, const spec::Spec&,
-                             std::uint64_t)>& fn) const {
-  struct Row {
-    std::string key;
-    SharedSpec spec;
-    std::uint64_t sequence;
-  };
-  std::vector<Row> rows;
-  for (auto& shard : shards_) {
-    // One guard at a time (hazard slots are a small per-thread budget);
-    // the shared spec pointers stay valid after the guard is released.
-    auto map = shard.snapshot.load();
-    for (const auto& [key, entry] : *map) {
-      rows.push_back({key, entry.spec, entry.sequence});
-    }
-  }
-  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-    return a.sequence < b.sequence;
-  });
-  for (const auto& row : rows) fn(row.key, *row.spec, row.sequence);
-}
-
-void ConcretizationCache::restore_entry(const std::string& key,
-                                        spec::Spec concrete,
-                                        std::uint64_t sequence) {
-  auto shared = std::make_shared<const spec::Spec>(std::move(concrete));
-  Shard& shard = shard_for(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto next = std::make_shared<Map>(*shard.snapshot.load());
-    Entry& entry = (*next)[key];
-    if (!entry.spec) size_.fetch_add(1, std::memory_order_relaxed);
-    entry.spec = std::move(shared);
-    entry.sequence = sequence;
-    shard.snapshot.store(std::move(next));
-  }
-  // Keep future inserts sorting after every restored entry.
-  std::uint64_t expected = next_sequence_.load(std::memory_order_relaxed);
-  while (expected <= sequence &&
-         !next_sequence_.compare_exchange_weak(expected, sequence + 1,
-                                               std::memory_order_relaxed)) {
-  }
-  if (capacity_.load(std::memory_order_relaxed) != 0) evict_to_capacity();
-}
-
-void ConcretizationCache::restore_stats(const ConcretizeCacheStats& stats) {
-  // Reverse of the stats() read order so concurrent snapshots never see
-  // more evictions/invalidations than inserts mid-restore.
-  hits_.store(stats.hits, std::memory_order_release);
-  misses_.store(stats.misses, std::memory_order_release);
-  inserts_.store(stats.inserts, std::memory_order_release);
-  invalidations_.store(stats.invalidations, std::memory_order_release);
-  evictions_.store(stats.evictions, std::memory_order_release);
-}
-
-ConcretizeCacheStats ConcretizationCache::stats() const {
-  // Torn-read-free: effect counters (evictions, invalidations) are read
-  // before their cause (inserts), and inserts before the miss/hit pair,
-  // pairing acquire loads with the release increments — a returned struct
-  // never shows more evictions or invalidations than inserts.
-  ConcretizeCacheStats out;
-  out.evictions = evictions_.load(std::memory_order_acquire);
-  out.invalidations = invalidations_.load(std::memory_order_acquire);
-  out.inserts = inserts_.load(std::memory_order_acquire);
-  out.misses = misses_.load(std::memory_order_acquire);
-  out.hits = hits_.load(std::memory_order_acquire);
-  return out;
 }
 
 }  // namespace benchpark::concretizer

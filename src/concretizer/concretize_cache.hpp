@@ -10,12 +10,11 @@
 //
 // and hold *shared immutable* concrete specs (shared_ptr<const Spec>),
 // so every consumer of a warm entry aliases one resolution. The key is
-// built by Concretizer::concretize_all; this module owns the canonical
-// spec rendering (constraint-order independent) and the sharded table
-// with hit/miss/evict counters. Steady-state reads are lock-free: each
-// shard publishes an immutable RCU-style snapshot (support/snapshot.hpp)
-// that lookup() loads with one atomic operation; writers copy-on-write
-// under the shard mutex and publish atomically.
+// built by Concretizer::concretize_all; the table is an instantiation of
+// support::SnapshotCache (lock-free hits, single-flight misses through
+// get_or_insert, oldest-first eviction, "concretizer.cache.*" counters).
+// What this module owns is the canonical spec rendering
+// (constraint-order independent).
 //
 // Invalidation: the config and repo-stack fingerprints in the key make
 // stale entries unreachable after any scope or recipe change — there is
@@ -25,20 +24,11 @@
 // and re-resolves.
 #pragma once
 
-#include <array>
-#include <atomic>
-#include <cstddef>
-#include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 
 #include "src/spec/spec.hpp"
-#include "src/support/hash.hpp"
-#include "src/support/snapshot.hpp"
+#include "src/support/snapshot_cache.hpp"
 
 namespace benchpark::concretizer {
 
@@ -52,115 +42,13 @@ namespace benchpark::concretizer {
 /// Stable base32 hash of canonical_spec_text (the cache-key component).
 [[nodiscard]] std::string canonical_spec_hash(const spec::Spec& abstract);
 
-/// Cumulative counters; snapshot by value via ConcretizationCache::stats()
-/// (same pattern as buildcache::CacheStats / the trace collector).
-/// Snapshots are torn-read-free: evictions <= inserts and
-/// invalidations <= inserts hold within any one struct, and every counter
-/// is monotone across successive snapshots.
-struct ConcretizeCacheStats {
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  std::size_t inserts = 0;
-  std::size_t evictions = 0;      // dropped to stay under capacity
-  std::size_t invalidations = 0;  // dropped explicitly (chaos poisoning)
-
-  [[nodiscard]] std::size_t lookups() const { return hits + misses; }
-  [[nodiscard]] double hit_rate() const {
-    return lookups() == 0
-               ? 0.0
-               : static_cast<double>(hits) / static_cast<double>(lookups());
-  }
-};
-
-class ConcretizationCache {
+class ConcretizationCache
+    : public support::SnapshotCache<std::shared_ptr<const spec::Spec>> {
 public:
-  using SharedSpec = std::shared_ptr<const spec::Spec>;
-
-  ConcretizationCache() = default;
-  ConcretizationCache(const ConcretizationCache&) = delete;
-  ConcretizationCache& operator=(const ConcretizationCache&) = delete;
+  ConcretizationCache() : SnapshotCache("concretizer.cache") {}
 
   /// The process-wide instance every cache-enabled Concretizer consults.
   static ConcretizationCache& global();
-
-  /// Thread-safe lookup; counts a hit or a miss (and mirrors both into
-  /// the trace collector's "concretizer.cache.*" counters when tracing).
-  [[nodiscard]] SharedSpec lookup(std::string_view key);
-
-  /// Publish a resolution. Overwrites any same-key entry (last writer
-  /// wins — concurrent duplicate misses resolve identical specs, so the
-  /// race is benign). Returns the shared entry.
-  SharedSpec insert(const std::string& key, spec::Spec concrete);
-
-  /// Drop one entry (chaos poisoning); false when absent.
-  bool invalidate(std::string_view key);
-  /// Drop everything (counters are kept; tests use clear() for isolation).
-  void clear();
-
-  /// Capacity in entries; 0 (default) is unbounded. Over capacity the
-  /// oldest-inserted entries are evicted first (rolling, like the binary
-  /// cache's oldest-sequence policy).
-  void set_capacity(std::size_t max_entries);
-  [[nodiscard]] std::size_t capacity() const {
-    return capacity_.load(std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    return size_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] ConcretizeCacheStats stats() const;
-
-  /// Visit every entry as (key, concrete spec, insert sequence), in
-  /// ascending sequence order, for the persistent store's snapshot.
-  void for_each_entry(
-      const std::function<void(const std::string&, const spec::Spec&,
-                               std::uint64_t)>& fn) const;
-
-  /// Re-publish a persisted entry with its original insert sequence
-  /// (warm start). Does not count as cache traffic — only genuine inserts
-  /// move the counters — but keeps next_sequence_ ahead of every restored
-  /// sequence so eviction order stays oldest-first across reloads.
-  void restore_entry(const std::string& key, spec::Spec concrete,
-                     std::uint64_t sequence);
-
-  /// Resume counters from a persisted snapshot instead of zero, so the
-  /// eviction gates and concretizer.cache.* obs mirroring stay monotone
-  /// across process restarts.
-  void restore_stats(const ConcretizeCacheStats& stats);
-
-private:
-  static constexpr std::size_t kShards = 16;
-
-  struct Entry {
-    SharedSpec spec;
-    std::uint64_t sequence = 0;  // insert order, process-wide
-  };
-  using Map = std::unordered_map<std::string, Entry,
-                                 support::TransparentStringHash,
-                                 std::equal_to<>>;
-  /// Readers load `snapshot` lock-free (one atomic load, heterogeneous
-  /// string_view find — no temporary key string); writers copy-on-write
-  /// under `mu` and publish atomically.
-  struct Shard {
-    std::mutex mu;
-    support::SnapshotPtr<Map> snapshot;
-  };
-
-  [[nodiscard]] Shard& shard_for(std::string_view key) const;
-  /// Evict oldest-sequence entries until size() fits capacity(). Lock
-  /// order is evict_mu_ -> shard.mu, never the reverse.
-  void evict_to_capacity();
-
-  mutable std::array<Shard, kShards> shards_;
-  std::mutex evict_mu_;
-  std::atomic<std::size_t> capacity_{0};
-  std::atomic<std::size_t> size_{0};
-  std::atomic<std::uint64_t> next_sequence_{1};
-  std::atomic<std::size_t> hits_{0};
-  std::atomic<std::size_t> misses_{0};
-  std::atomic<std::size_t> inserts_{0};
-  std::atomic<std::size_t> evictions_{0};
-  std::atomic<std::size_t> invalidations_{0};
 };
 
 }  // namespace benchpark::concretizer

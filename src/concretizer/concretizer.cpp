@@ -89,20 +89,25 @@ spec::Spec Concretizer::resolve_root(const Spec& root, Context& ctx,
 
       obs::ScopedSpan span(collector, "resolve:" + root.name(),
                            "concretizer");
-      if (!cache_key.empty()) {
-        if (auto cached = cache.lookup(cache_key)) {
-          batch.hits.fetch_add(1, std::memory_order_relaxed);
-          if (span.active()) span.annotate("cache", "hit");
-          if (merge_hits) merge_closure(*cached, ctx.resolved_);
-          return *cached;
-        }
-        batch.misses.fetch_add(1, std::memory_order_relaxed);
-        if (span.active()) span.annotate("cache", "miss");
+      if (cache_key.empty()) {
+        std::vector<std::string> stack;
+        return resolve(root, ctx, stack);
       }
-      std::vector<std::string> stack;
-      Spec concrete = resolve(root, ctx, stack);
-      if (!cache_key.empty()) cache.insert(cache_key, concrete);
-      return concrete;
+      // Single-flight: concurrent misses of one key wait for the first
+      // resolver and count as hits. resolve() runs on this thread and
+      // never waits on pool work, so a pool worker blocked as a waiter
+      // cannot starve it.
+      bool resolved_here = false;
+      auto cached = cache.get_or_insert(cache_key, [&] {
+        resolved_here = true;
+        std::vector<std::string> stack;
+        return std::make_shared<const Spec>(resolve(root, ctx, stack));
+      });
+      (resolved_here ? batch.misses : batch.hits)
+          .fetch_add(1, std::memory_order_relaxed);
+      if (span.active()) span.annotate("cache", resolved_here ? "miss" : "hit");
+      if (!resolved_here && merge_hits) merge_closure(*cached, ctx.resolved_);
+      return *cached;
     } catch (const TransientError&) {
       if (attempt >= kMaxAttempts) throw;
       if (!cache_key.empty()) cache.invalidate(cache_key);

@@ -1,11 +1,9 @@
 #include "src/ramble/expansion.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <utility>
 
-#include "src/obs/trace.hpp"
 #include "src/support/arena.hpp"
 #include "src/support/error.hpp"
 #include "src/support/intern.hpp"
@@ -438,157 +436,10 @@ TemplateCache& TemplateCache::global() {
   return instance;
 }
 
-TemplateCache::Shard& TemplateCache::shard_for(std::string_view key) const {
-  // Same hasher the shard maps use: one fast pass over the key instead
-  // of an extra byte-at-a-time fnv1a walk (which dominated warm lookups
-  // of script-sized templates).
-  return shards_[StringHash{}(key) % kShards];
-}
-
 std::shared_ptr<const CompiledTemplate> TemplateCache::get(
     std::string_view text) {
-  auto& collector = obs::TraceCollector::global();
-  Shard& shard = shard_for(text);
-  // Lock-free hit path: one atomic snapshot load, heterogeneous find.
-  {
-    auto map = shard.snapshot.load();
-    auto it = map->find(text);
-    if (it != map->end()) {
-      hits_.fetch_add(1, std::memory_order_release);
-      collector.counter_add("ramble.template.hits");
-      return it->second.tmpl;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_release);
-  collector.counter_add("ramble.template.misses");
-  // Compile outside the shard lock; errors propagate and nothing is
-  // cached. Concurrent duplicate misses compile identical templates, so
-  // the last-writer-wins overwrite below is benign.
-  auto compiled = std::make_shared<const CompiledTemplate>(text);
-  // Counted before the entry is published so a concurrent evictor can
-  // never make evictions exceed inserts in a stats() snapshot.
-  inserts_.fetch_add(1, std::memory_order_release);
-  collector.counter_add("ramble.template.inserts");
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto next = std::make_shared<Map>(*shard.snapshot.load());
-    Entry& entry = (*next)[std::string(text)];
-    if (!entry.tmpl) size_.fetch_add(1, std::memory_order_relaxed);
-    entry.tmpl = compiled;
-    entry.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
-    shard.snapshot.store(std::move(next));
-  }
-  if (capacity_.load(std::memory_order_relaxed) != 0) evict_to_capacity();
-  return compiled;
-}
-
-void TemplateCache::clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.snapshot.store(std::make_shared<const Map>());
-  }
-  size_.store(0, std::memory_order_relaxed);
-}
-
-void TemplateCache::set_capacity(std::size_t max_entries) {
-  capacity_.store(max_entries, std::memory_order_relaxed);
-  if (max_entries != 0) evict_to_capacity();
-}
-
-void TemplateCache::evict_to_capacity() {
-  std::lock_guard<std::mutex> evict_lock(evict_mu_);
-  const std::size_t capacity = capacity_.load(std::memory_order_relaxed);
-  if (capacity == 0) return;
-  while (size_.load(std::memory_order_relaxed) > capacity) {
-    // Find the globally oldest entry (smallest sequence) from the
-    // lock-free snapshots.
-    Shard* victim_shard = nullptr;
-    std::string victim_key;
-    std::uint64_t victim_seq = UINT64_MAX;
-    for (auto& shard : shards_) {
-      auto map = shard.snapshot.load();
-      for (const auto& [key, entry] : *map) {
-        if (entry.sequence < victim_seq) {
-          victim_seq = entry.sequence;
-          victim_key = key;
-          victim_shard = &shard;
-        }
-      }
-    }
-    if (!victim_shard) return;
-    std::lock_guard<std::mutex> lock(victim_shard->mu);
-    auto next = std::make_shared<Map>(*victim_shard->snapshot.load());
-    // Re-check: the entry may have been refreshed or dropped since the
-    // scan; erase only the exact (key, sequence) pair we chose.
-    auto it = next->find(std::string_view(victim_key));
-    if (it == next->end() || it->second.sequence != victim_seq) {
-      continue;
-    }
-    next->erase(it);
-    victim_shard->snapshot.store(std::move(next));
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    evictions_.fetch_add(1, std::memory_order_release);
-    obs::TraceCollector::global().counter_add("ramble.template.evictions");
-  }
-}
-
-std::vector<std::pair<std::string, std::uint64_t>>
-TemplateCache::export_entries() const {
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  for (auto& shard : shards_) {
-    auto map = shard.snapshot.load();
-    for (const auto& [key, entry] : *map) {
-      out.emplace_back(key, entry.sequence);
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.second < b.second; });
-  return out;
-}
-
-void TemplateCache::restore_entry(std::string_view text,
-                                  std::uint64_t sequence) {
-  // Compile first: a corrupt persisted record must not publish anything.
-  auto compiled = std::make_shared<const CompiledTemplate>(text);
-  Shard& shard = shard_for(text);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto next = std::make_shared<Map>(*shard.snapshot.load());
-    Entry& entry = (*next)[std::string(text)];
-    if (!entry.tmpl) size_.fetch_add(1, std::memory_order_relaxed);
-    entry.tmpl = std::move(compiled);
-    entry.sequence = sequence;
-    shard.snapshot.store(std::move(next));
-  }
-  // Keep future inserts sorting after every restored entry.
-  std::uint64_t expected = next_sequence_.load(std::memory_order_relaxed);
-  while (expected <= sequence &&
-         !next_sequence_.compare_exchange_weak(expected, sequence + 1,
-                                               std::memory_order_relaxed)) {
-  }
-  if (capacity_.load(std::memory_order_relaxed) != 0) evict_to_capacity();
-}
-
-void TemplateCache::restore_stats(const TemplateCacheStats& stats) {
-  // Reverse of the stats() read order so concurrent snapshots never see
-  // more evictions than inserts mid-restore.
-  hits_.store(stats.hits, std::memory_order_release);
-  misses_.store(stats.misses, std::memory_order_release);
-  inserts_.store(stats.inserts, std::memory_order_release);
-  evictions_.store(stats.evictions, std::memory_order_release);
-}
-
-TemplateCacheStats TemplateCache::stats() const {
-  // Torn-read-free: evictions are read before their cause (inserts),
-  // inserts before the miss that produced them, pairing acquire loads
-  // with the release increments — a returned struct never shows more
-  // evictions than inserts.
-  TemplateCacheStats out;
-  out.evictions = evictions_.load(std::memory_order_acquire);
-  out.inserts = inserts_.load(std::memory_order_acquire);
-  out.misses = misses_.load(std::memory_order_acquire);
-  out.hits = hits_.load(std::memory_order_acquire);
-  return out;
+  return get_or_insert(
+      text, [&] { return std::make_shared<const CompiledTemplate>(text); });
 }
 
 // -------------------------------------------------------------- wrappers

@@ -7,7 +7,7 @@
 // ExperimentError with the offending name.
 //
 // Templates are compiled once into a segment list (CompiledTemplate) and
-// memoized in a process-wide sharded TemplateCache keyed by the template
+// memoized in the process-wide TemplateCache keyed by the template
 // text, so expanding the same template across a large experiment matrix
 // is a segment walk with no re-tokenizing. `expand()` stays the thin
 // wrapper everyone calls; `expand_uncached()` bypasses the cache (used by
@@ -19,20 +19,16 @@
 // including inside placeholder bodies.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
-#include "src/support/snapshot.hpp"
+#include "src/support/snapshot_cache.hpp"
 
 namespace benchpark::support {
 class Arena;
@@ -134,121 +130,24 @@ private:
   std::optional<std::string> literal_value_;
 };
 
-/// Cumulative counters; snapshot by value via TemplateCache::stats()
-/// (same shape as ConcretizeCacheStats / buildcache::CacheStats).
-struct TemplateCacheStats {
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  std::size_t inserts = 0;
-  std::size_t evictions = 0;  // dropped to stay under capacity
-
-  [[nodiscard]] std::size_t lookups() const { return hits + misses; }
-  [[nodiscard]] double hit_rate() const {
-    return lookups() == 0
-               ? 0.0
-               : static_cast<double>(hits) / static_cast<double>(lookups());
-  }
-};
-
-/// Process-wide sharded memo table: template text -> CompiledTemplate.
-/// The key is the exact source text, so the compiled form is a pure
-/// function of the key and entries never go stale. Thread-safe; the
-/// steady-state hit path is lock-free (one atomic snapshot load per
-/// shard); counters are exact under concurrent expansion (atomics,
-/// mirrored into the trace collector's "ramble.template.*" counters when
-/// tracing). stats() snapshots are torn-read-free: evictions <= inserts
-/// within any returned struct.
-class TemplateCache {
+/// Process-wide memo table: template text -> CompiledTemplate, an
+/// instantiation of support::SnapshotCache ("ramble.template.*"
+/// counters). The key is the exact source text, so the compiled form is a
+/// pure function of the key and entries never go stale. What is the
+/// template cache's own: compile on miss.
+class TemplateCache
+    : public support::SnapshotCache<std::shared_ptr<const CompiledTemplate>> {
 public:
-  TemplateCache() = default;
-  TemplateCache(const TemplateCache&) = delete;
-  TemplateCache& operator=(const TemplateCache&) = delete;
+  TemplateCache() : SnapshotCache("ramble.template") {}
 
   /// The process-wide instance `expand()` consults.
   static TemplateCache& global();
 
-  /// Fetch-or-compile. Compile errors (unbalanced '{') propagate and
-  /// nothing is cached, so a bad template throws on every call exactly
-  /// like the uncompiled expander did.
+  /// Fetch-or-compile (single-flight). Compile errors (unbalanced '{')
+  /// propagate and nothing is cached, so a bad template throws on every
+  /// call exactly like the uncompiled expander did.
   [[nodiscard]] std::shared_ptr<const CompiledTemplate> get(
       std::string_view text);
-
-  /// Drop everything (counters are kept; tests use clear() for isolation).
-  void clear();
-
-  /// Capacity in entries; 0 (default) is unbounded. Over capacity the
-  /// oldest-inserted entries are evicted first.
-  void set_capacity(std::size_t max_entries);
-  [[nodiscard]] std::size_t capacity() const {
-    return capacity_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t size() const {
-    return size_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] TemplateCacheStats stats() const;
-
-  /// Every cached template as (source text, insert sequence), sorted by
-  /// sequence (oldest first), for the persistent store's snapshot. The
-  /// compiled form is a pure function of the text, so only the text is
-  /// worth persisting.
-  [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>>
-  export_entries() const;
-
-  /// Recompile and publish a persisted entry with its original insert
-  /// sequence (warm start). Does not move the hit/miss/insert counters.
-  /// Compile errors propagate — callers skip corrupt records.
-  void restore_entry(std::string_view text, std::uint64_t sequence);
-
-  /// Resume counters from a persisted snapshot instead of zero.
-  void restore_stats(const TemplateCacheStats& stats);
-
-private:
-  static constexpr std::size_t kShards = 16;
-
-  struct Entry {
-    std::shared_ptr<const CompiledTemplate> tmpl;
-    std::uint64_t sequence = 0;  // insert order, process-wide
-  };
-  struct StringHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      // Script-sized keys hash a bounded sample (head + tail + length)
-      // so lookup cost doesn't scale with template size; the map's full
-      // key equality still guards correctness. Generated scripts share
-      // long common prefixes, so the tail carries the distinguishing
-      // bytes (experiment names, sizes).
-      constexpr std::size_t kSample = 64;
-      std::hash<std::string_view> h;
-      if (s.size() <= 2 * kSample) return h(s);
-      std::size_t head = h(s.substr(0, kSample));
-      std::size_t tail = h(s.substr(s.size() - kSample));
-      return head ^ (tail + 0x9e3779b97f4a7c15ULL + (head << 6)) ^ s.size();
-    }
-  };
-  using Map =
-      std::unordered_map<std::string, Entry, StringHash, std::equal_to<>>;
-  /// Readers load `snapshot` lock-free (one atomic load, heterogeneous
-  /// string_view find); writers copy-on-write under `mu` and publish
-  /// atomically (same RCU protocol as the binary / concretization caches).
-  struct Shard {
-    std::mutex mu;
-    support::SnapshotPtr<Map> snapshot;
-  };
-
-  [[nodiscard]] Shard& shard_for(std::string_view key) const;
-  /// Evict oldest-sequence entries until size() fits capacity(). Lock
-  /// order is evict_mu_ -> shard.mu, never the reverse.
-  void evict_to_capacity();
-
-  mutable std::array<Shard, kShards> shards_;
-  std::mutex evict_mu_;
-  std::atomic<std::size_t> capacity_{0};
-  std::atomic<std::size_t> size_{0};
-  std::atomic<std::uint64_t> next_sequence_{1};
-  std::atomic<std::size_t> hits_{0};
-  std::atomic<std::size_t> misses_{0};
-  std::atomic<std::size_t> inserts_{0};
-  std::atomic<std::size_t> evictions_{0};
 };
 
 /// Expand every `{name}` in `text` against `vars`, recursively, then

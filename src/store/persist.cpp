@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdint>
 #include <exception>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -21,9 +22,6 @@ namespace benchpark::store {
 
 namespace {
 
-constexpr std::string_view kBinaryKind = "binary";
-constexpr std::string_view kConcretizeKind = "concretize";
-constexpr std::string_view kTemplateKind = "template";
 constexpr std::string_view kInstallKind = "install";
 constexpr std::string_view kExperimentKind = "experiment";
 constexpr std::string_view kMetaKind = "meta";
@@ -77,177 +75,170 @@ void warn_skip(std::string_view kind, const std::string& key,
 
 }  // namespace
 
-// ------------------------------------------------------ global caches
+// -------------------------------------------------------------- caches
+
+namespace {
+
+/// How one cache maps onto journal records: its record kind, the meta key
+/// its counters persist under with each counter's YAML field (in
+/// persisted order), and the per-entry payload codec. Entries go through
+/// the cache's own export_entries()/restore(); every record also carries
+/// the entry's insert "sequence".
+template <typename Entry, typename Stats>
+struct CacheRecords {
+  std::string_view kind;
+  std::string_view stats_key;
+  std::vector<std::pair<const char*, std::size_t Stats::*>> counters;
+  std::string (*record_key)(const Entry&);
+  void (*encode)(const Entry&, yaml::Node&);
+  Entry (*decode)(const std::string& record_key, const yaml::Node&);
+};
+
+using BinaryEntry = buildcache::CacheEntry;
+using BinaryStats = buildcache::CacheStats;
+using ConcretizeEntry = concretizer::ConcretizationCache::Entry;
+using TemplateEntry = ramble::TemplateCache::Entry;
+using Stats = support::SnapshotCacheStats;
+
+const CacheRecords<BinaryEntry, BinaryStats> kBinaryRecords{
+    "binary",
+    "binary.stats",
+    {{"hits", &BinaryStats::hits},
+     {"misses", &BinaryStats::misses},
+     {"pushes", &BinaryStats::pushes},
+     {"retries", &BinaryStats::retries},
+     {"evictions", &BinaryStats::evictions}},
+    [](const BinaryEntry& e) { return e.dag_hash; },
+    [](const BinaryEntry& e, yaml::Node& n) {
+      n["short_spec"] = yaml::Node(e.short_spec);
+      n["size_bytes"] = yaml::Node(static_cast<long long>(e.size_bytes));
+    },
+    [](const std::string& key, const yaml::Node& n) {
+      return BinaryEntry{
+          key, n.at("short_spec").as_string(),
+          static_cast<std::uint64_t>(n.at("size_bytes").as_int())};
+    }};
+
+const CacheRecords<ConcretizeEntry, Stats> kConcretizeRecords{
+    "concretize",
+    "concretize.stats",
+    {support::kSnapshotCacheCounters.begin(),
+     support::kSnapshotCacheCounters.end()},
+    [](const ConcretizeEntry& e) { return e.key; },
+    [](const ConcretizeEntry& e, yaml::Node& n) {
+      put_spec_closure(n, *e.value);
+    },
+    [](const std::string& key, const yaml::Node& n) {
+      return ConcretizeEntry{
+          key, std::make_shared<const spec::Spec>(spec_from_closure(n))};
+    }};
+
+/// Template records are keyed by a hash of the text (script-sized keys
+/// stay out of the journal index); the compiled form is a pure function
+/// of the text, so only the text is persisted and warm start recompiles.
+/// "template.stats" has never carried invalidations.
+const CacheRecords<TemplateEntry, Stats> kTemplateRecords{
+    "template",
+    "template.stats",
+    {support::kSnapshotCacheCounters.begin(),
+     support::kSnapshotCacheCounters.end() - 1},
+    [](const TemplateEntry& e) { return support::hash_base32(e.key); },
+    [](const TemplateEntry& e, yaml::Node& n) {
+      n["text"] = yaml::Node(e.key);
+    },
+    [](const std::string&, const yaml::Node& n) {
+      std::string text = n.at("text").as_string();
+      auto compiled = std::make_shared<const ramble::CompiledTemplate>(text);
+      return TemplateEntry{std::move(text), std::move(compiled)};
+    }};
+
+template <typename Cache, typename Entry, typename Stats>
+void save_cache(Store& store, const Cache& cache,
+                const CacheRecords<Entry, Stats>& records) {
+  const auto opts = emit_opts();
+  for (const Entry& entry : cache.export_entries()) {
+    yaml::Node n = yaml::Node::make_mapping();
+    records.encode(entry, n);
+    n["sequence"] = yaml::Node(static_cast<long long>(entry.sequence));
+    store.put(records.kind, records.record_key(entry), yaml::emit(n, opts));
+  }
+  const Stats stats = cache.stats();
+  yaml::Node n = yaml::Node::make_mapping();
+  for (const auto& [field, counter] : records.counters) {
+    n[field] = yaml::Node(static_cast<long long>(stats.*counter));
+  }
+  store.put(kMetaKind, records.stats_key, yaml::emit(n, opts));
+}
+
+/// Bulk warm start of one cache; returns the entries loaded. Records that
+/// fail to parse are skipped with a warning and counted in `skipped`.
+template <typename Cache, typename Entry, typename Stats>
+std::size_t load_cache(const Store& store, Cache& cache,
+                       const CacheRecords<Entry, Stats>& records,
+                       std::size_t& skipped) {
+  std::vector<Entry> entries;
+  store.for_each(records.kind, [&](const std::string& key,
+                                   const std::string& value) {
+    try {
+      yaml::Node n = yaml::parse(value);
+      Entry entry = records.decode(key, n);
+      entry.sequence = static_cast<std::uint64_t>(n.at("sequence").as_int());
+      entries.push_back(std::move(entry));
+    } catch (const std::exception& e) {
+      ++skipped;
+      warn_skip(records.kind, key, e.what());
+    }
+  });
+  Stats stats;
+  if (auto meta = store.get(kMetaKind, records.stats_key)) {
+    try {
+      yaml::Node n = yaml::parse(*meta);
+      Stats parsed;
+      for (const auto& [field, counter] : records.counters) {
+        parsed.*counter = static_cast<std::size_t>(n.at(field).as_int());
+      }
+      stats = parsed;
+    } catch (const std::exception& e) {
+      ++skipped;
+      warn_skip(kMetaKind, std::string(records.stats_key), e.what());
+    }
+  }
+  const std::size_t loaded = entries.size();
+  cache.restore(std::move(entries), stats);
+  return loaded;
+}
+
+}  // namespace
 
 WarmStartReport warm_start_global_caches(const StoreHandle& store) {
   WarmStartReport report;
   if (!store || !store->begin_warm_start()) return report;
   report.attempted = true;
-
-  auto& ccache = concretizer::ConcretizationCache::global();
-  store->for_each(kConcretizeKind, [&](const std::string& key,
-                                       const std::string& value) {
-    try {
-      yaml::Node n = yaml::parse(value);
-      spec::Spec s = spec_from_closure(n);
-      const auto seq =
-          static_cast<std::uint64_t>(n.at("sequence").as_int());
-      ccache.restore_entry(key, std::move(s), seq);
-      ++report.concretize_entries;
-    } catch (const std::exception& e) {
-      ++report.skipped_records;
-      warn_skip(kConcretizeKind, key, e.what());
-    }
-  });
-  if (auto meta = store->get(kMetaKind, "concretize.stats")) {
-    try {
-      yaml::Node n = yaml::parse(*meta);
-      concretizer::ConcretizeCacheStats stats;
-      stats.hits = static_cast<std::size_t>(n.at("hits").as_int());
-      stats.misses = static_cast<std::size_t>(n.at("misses").as_int());
-      stats.inserts = static_cast<std::size_t>(n.at("inserts").as_int());
-      stats.evictions = static_cast<std::size_t>(n.at("evictions").as_int());
-      stats.invalidations =
-          static_cast<std::size_t>(n.at("invalidations").as_int());
-      ccache.restore_stats(stats);
-    } catch (const std::exception& e) {
-      ++report.skipped_records;
-      warn_skip(kMetaKind, "concretize.stats", e.what());
-    }
-  }
-
-  auto& tcache = ramble::TemplateCache::global();
-  store->for_each(kTemplateKind, [&](const std::string& key,
-                                     const std::string& value) {
-    try {
-      yaml::Node n = yaml::parse(value);
-      const auto seq =
-          static_cast<std::uint64_t>(n.at("sequence").as_int());
-      tcache.restore_entry(n.at("text").as_string(), seq);
-      ++report.template_entries;
-    } catch (const std::exception& e) {
-      ++report.skipped_records;
-      warn_skip(kTemplateKind, key, e.what());
-    }
-  });
-  if (auto meta = store->get(kMetaKind, "template.stats")) {
-    try {
-      yaml::Node n = yaml::parse(*meta);
-      ramble::TemplateCacheStats stats;
-      stats.hits = static_cast<std::size_t>(n.at("hits").as_int());
-      stats.misses = static_cast<std::size_t>(n.at("misses").as_int());
-      stats.inserts = static_cast<std::size_t>(n.at("inserts").as_int());
-      stats.evictions = static_cast<std::size_t>(n.at("evictions").as_int());
-      tcache.restore_stats(stats);
-    } catch (const std::exception& e) {
-      ++report.skipped_records;
-      warn_skip(kMetaKind, "template.stats", e.what());
-    }
-  }
+  report.concretize_entries =
+      load_cache(*store, concretizer::ConcretizationCache::global(),
+                 kConcretizeRecords, report.skipped_records);
+  report.template_entries =
+      load_cache(*store, ramble::TemplateCache::global(), kTemplateRecords,
+                 report.skipped_records);
   return report;
 }
 
 void persist_global_caches(const StoreHandle& store) {
   if (!store) return;
-  const auto opts = emit_opts();
-
-  auto& ccache = concretizer::ConcretizationCache::global();
-  ccache.for_each_entry([&](const std::string& key, const spec::Spec& s,
-                            std::uint64_t sequence) {
-    yaml::Node root = yaml::Node::make_mapping();
-    put_spec_closure(root, s);
-    root["sequence"] = yaml::Node(static_cast<long long>(sequence));
-    store->put(kConcretizeKind, key, yaml::emit(root, opts));
-  });
-  {
-    const auto stats = ccache.stats();
-    yaml::Node n = yaml::Node::make_mapping();
-    n["hits"] = yaml::Node(static_cast<long long>(stats.hits));
-    n["misses"] = yaml::Node(static_cast<long long>(stats.misses));
-    n["inserts"] = yaml::Node(static_cast<long long>(stats.inserts));
-    n["evictions"] = yaml::Node(static_cast<long long>(stats.evictions));
-    n["invalidations"] =
-        yaml::Node(static_cast<long long>(stats.invalidations));
-    store->put(kMetaKind, "concretize.stats", yaml::emit(n, opts));
-  }
-
-  auto& tcache = ramble::TemplateCache::global();
-  for (const auto& [text, sequence] : tcache.export_entries()) {
-    yaml::Node root = yaml::Node::make_mapping();
-    root["text"] = yaml::Node(text);
-    root["sequence"] = yaml::Node(static_cast<long long>(sequence));
-    store->put(kTemplateKind, support::hash_base32(text),
-               yaml::emit(root, opts));
-  }
-  {
-    const auto stats = tcache.stats();
-    yaml::Node n = yaml::Node::make_mapping();
-    n["hits"] = yaml::Node(static_cast<long long>(stats.hits));
-    n["misses"] = yaml::Node(static_cast<long long>(stats.misses));
-    n["inserts"] = yaml::Node(static_cast<long long>(stats.inserts));
-    n["evictions"] = yaml::Node(static_cast<long long>(stats.evictions));
-    store->put(kMetaKind, "template.stats", yaml::emit(n, opts));
-  }
+  save_cache(*store, concretizer::ConcretizationCache::global(),
+             kConcretizeRecords);
+  save_cache(*store, ramble::TemplateCache::global(), kTemplateRecords);
 }
-
-// -------------------------------------------------------- binary cache
 
 std::size_t warm_binary_cache(const StoreHandle& store,
                               buildcache::BinaryCache& cache) {
-  if (!store) return 0;
-  std::vector<buildcache::CacheEntry> entries;
-  store->for_each(kBinaryKind, [&](const std::string& key,
-                                   const std::string& value) {
-    try {
-      yaml::Node n = yaml::parse(value);
-      buildcache::CacheEntry e;
-      e.dag_hash = key;
-      e.short_spec = n.at("short_spec").as_string();
-      e.size_bytes = static_cast<std::uint64_t>(n.at("size_bytes").as_int());
-      e.sequence = static_cast<std::uint64_t>(n.at("sequence").as_int());
-      entries.push_back(std::move(e));
-    } catch (const std::exception& e) {
-      warn_skip(kBinaryKind, key, e.what());
-    }
-  });
-  buildcache::CacheStats stats;
-  const auto meta = store->get(kMetaKind, "binary.stats");
-  if (meta) {
-    try {
-      yaml::Node n = yaml::parse(*meta);
-      stats.hits = static_cast<std::size_t>(n.at("hits").as_int());
-      stats.misses = static_cast<std::size_t>(n.at("misses").as_int());
-      stats.pushes = static_cast<std::size_t>(n.at("pushes").as_int());
-      stats.retries = static_cast<std::size_t>(n.at("retries").as_int());
-      stats.evictions = static_cast<std::size_t>(n.at("evictions").as_int());
-    } catch (const std::exception& e) {
-      warn_skip(kMetaKind, "binary.stats", e.what());
-    }
-  }
-  if (entries.empty() && !meta) return 0;  // nothing persisted yet
-  cache.restore(entries, stats);
-  return entries.size();
+  std::size_t skipped = 0;  // warned per record; the API reports loads
+  return store ? load_cache(*store, cache, kBinaryRecords, skipped) : 0;
 }
 
 void persist_binary_cache(const StoreHandle& store,
                           const buildcache::BinaryCache& cache) {
-  if (!store) return;
-  const auto opts = emit_opts();
-  for (const auto& entry : cache.export_entries()) {
-    yaml::Node n = yaml::Node::make_mapping();
-    n["short_spec"] = yaml::Node(entry.short_spec);
-    n["size_bytes"] = yaml::Node(static_cast<long long>(entry.size_bytes));
-    n["sequence"] = yaml::Node(static_cast<long long>(entry.sequence));
-    store->put(kBinaryKind, entry.dag_hash, yaml::emit(n, opts));
-  }
-  const auto stats = cache.stats();
-  yaml::Node n = yaml::Node::make_mapping();
-  n["hits"] = yaml::Node(static_cast<long long>(stats.hits));
-  n["misses"] = yaml::Node(static_cast<long long>(stats.misses));
-  n["pushes"] = yaml::Node(static_cast<long long>(stats.pushes));
-  n["retries"] = yaml::Node(static_cast<long long>(stats.retries));
-  n["evictions"] = yaml::Node(static_cast<long long>(stats.evictions));
-  store->put(kMetaKind, "binary.stats", yaml::emit(n, opts));
+  if (store) save_cache(*store, cache, kBinaryRecords);
 }
 
 // -------------------------------------------------------- install tree

@@ -4,11 +4,13 @@
 //
 // Each adapter serializes through the project YAML emitter (with
 // quote_numeric_strings on, so values that look like numbers, booleans,
-// or dates survive typed readers) and restores through the caches'
-// restore APIs, which publish via the normal hazard-pointer snapshot
-// path and preserve insert sequences and stats counters — a reloaded
-// cache evicts in the same oldest-first order, and its obs counters stay
-// monotone across process restarts.
+// or dates survive typed readers). The three caches share one save and
+// one load routine over their export_entries()/restore() API
+// (support::SnapshotCache): a bulk restore publishes each shard once,
+// keeps insert sequences — a reloaded cache evicts in the same
+// oldest-first order — and raises every counter to the larger of its
+// live and persisted value, so counters never run backwards, not even
+// when a second store warm-starts the process-wide caches.
 //
 // Record kinds used in the journal:
 //   "binary"      dag hash        -> cache index entry

@@ -181,7 +181,10 @@ std::string FaultPlan::fingerprint(
     h.update(r.key);
     h.update(r.nth);
     h.update(r.count);
-    char buf[40];
+    // Worst case: two 24-byte "%.17g" doubles ("-1.2345678901234567e-308"),
+    // the '/', and the NUL. Truncating would make plans that differ only
+    // in late digits share a fingerprint, and so an exp-v2 store key.
+    char buf[2 * 24 + 2];
     std::snprintf(buf, sizeof(buf), "%.17g/%.17g", r.probability,
                   r.latency_seconds);
     h.update(buf);

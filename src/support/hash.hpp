@@ -31,14 +31,4 @@ private:
 std::uint64_t fnv1a(std::string_view data);
 std::string hash_base32(std::string_view data);
 
-/// Transparent hasher for unordered string-keyed maps: enables
-/// find(string_view) without materializing a temporary std::string on
-/// lookup paths (std::hash here, not fnv1a — these hashes never persist).
-struct TransparentStringHash {
-  using is_transparent = void;
-  std::size_t operator()(std::string_view s) const {
-    return std::hash<std::string_view>{}(s);
-  }
-};
-
 }  // namespace benchpark::support

@@ -1,15 +1,17 @@
 // RCU-style atomic snapshot publication with hazard-pointer reclamation.
 //
-// The sharded caches (buildcache::BinaryCache,
-// concretizer::ConcretizationCache, ramble::TemplateCache) and the string
-// interner serve their steady-state read paths from an immutable snapshot.
+// Two structures serve their steady-state read paths from an immutable
+// snapshot: the one generic cache, support::SnapshotCache
+// (support/snapshot_cache.hpp), whose three instantiations are
+// buildcache::BinaryCache, concretizer::ConcretizationCache and
+// ramble::TemplateCache, and the string interner.
 // Readers pin the current snapshot through a per-thread hazard slot: one
 // plain load, one store to the thread's own slot, one validating load —
 // no lock, no shared reference count, no read-side cache-line contention
 // (an atomic<shared_ptr> snapshot was measurably *slower* than a mutex at
 // 16 threads: libstdc++ backs it with a spinlock pool and every reader
 // bumps the same control-block refcount). Writers copy the current
-// snapshot under the shard's existing mutex, apply the mutation to the
+// snapshot under the owner's mutex, apply the mutation to the
 // copy, publish the new version, and retire the old one; a retired
 // snapshot is freed on a later publish once no thread's hazard slot pins
 // it (the grace period of classic RCU, detected instead of waited for).

@@ -122,7 +122,7 @@ TEST(BuildCache, ConcurrentPushFetchStress) {
   for (auto& thread : threads) thread.join();
 
   EXPECT_EQ(cache.size(), specs.size());
-  for (const auto& spec : specs) EXPECT_TRUE(cache.contains(spec));
+  for (const auto& spec : specs) EXPECT_TRUE(cache.contains(spec.dag_hash()));
   auto stats = cache.stats();
   EXPECT_EQ(stats.pushes, static_cast<std::size_t>(kThreads) * kRounds);
   EXPECT_EQ(stats.lookups(), fetch_calls.load());
@@ -214,10 +214,10 @@ TEST(BuildCache, EvictsOldestWhenOverCapacity) {
   EXPECT_EQ(cache.size(), 3u);
   EXPECT_LE(cache.total_bytes(), cache.capacity_bytes());
   // The two oldest pushes rolled off; the three newest remain.
-  EXPECT_FALSE(cache.contains(specs[0]));
-  EXPECT_FALSE(cache.contains(specs[1]));
+  EXPECT_FALSE(cache.contains(specs[0].dag_hash()));
+  EXPECT_FALSE(cache.contains(specs[1].dag_hash()));
   for (std::size_t i = 2; i < 5; ++i) {
-    EXPECT_TRUE(cache.contains(specs[i])) << specs[i].name();
+    EXPECT_TRUE(cache.contains(specs[i].dag_hash())) << specs[i].name();
   }
   EXPECT_EQ(cache.stats().evictions, 2u);
 }
@@ -232,9 +232,9 @@ TEST(BuildCache, OverwriteRefreshesEvictionOrder) {
   // specs[1] instead.
   cache.push(specs[0], 1 << 20);
   cache.push(specs[2], 1 << 20);
-  EXPECT_TRUE(cache.contains(specs[0]));
-  EXPECT_FALSE(cache.contains(specs[1]));
-  EXPECT_TRUE(cache.contains(specs[2]));
+  EXPECT_TRUE(cache.contains(specs[0].dag_hash()));
+  EXPECT_FALSE(cache.contains(specs[1].dag_hash()));
+  EXPECT_TRUE(cache.contains(specs[2].dag_hash()));
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
@@ -292,7 +292,7 @@ TEST(BuildCache, ConcurrentPushesRespectCapacityInvariant) {
   // Byte ledger still consistent with the surviving entries.
   std::uint64_t resident = 0;
   for (const auto& spec : specs) {
-    if (cache.contains(spec)) resident += 1 << 20;
+    if (cache.contains(spec.dag_hash())) resident += 1 << 20;
   }
   EXPECT_EQ(cache.total_bytes(), resident);
 }

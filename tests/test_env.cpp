@@ -319,8 +319,8 @@ TEST(BinaryCache, ContentAddressing) {
   auto a = concretize1(c, "zlib");
   auto b = concretize1(c, "zlib@:1.2");  // different version, different hash
   cache.push(a, 1000);
-  EXPECT_TRUE(cache.contains(a));
-  EXPECT_FALSE(cache.contains(b));
+  EXPECT_TRUE(cache.contains(a.dag_hash()));
+  EXPECT_FALSE(cache.contains(b.dag_hash()));
 }
 
 TEST(Installer, WavefrontInstallMatchesSerialWalk) {
@@ -562,7 +562,7 @@ TEST(Installer, FetchFailureFallsBackToSourceBuild) {
     install::Installer installer(pkg::default_repo_stack(), &warmup, &cache);
     installer.install(spec);
   }
-  ASSERT_TRUE(cache.contains(spec));
+  ASSERT_TRUE(cache.contains(spec.dag_hash()));
 
   // Fail every fetch attempt — beyond the cache's internal retries — so
   // the installer must fall back to a source build.

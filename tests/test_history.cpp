@@ -408,6 +408,22 @@ TEST(FaultFingerprint, StableAndPlanSensitive) {
   EXPECT_NE(plan.fingerprint(), fp);  // content-sensitive
 }
 
+TEST(FaultFingerprint, LateDigitsOfLongValuesStillCount) {
+  // 17 significant digits and a three-digit exponent on both values: the
+  // formatted "probability/latency" pair is 47 bytes, and the latency
+  // digits that differ sit past byte 40.
+  support::FaultRule rule;
+  rule.site = "experiment.exec";
+  rule.probability = 1.2345678901234567e-300;
+  rule.latency_seconds = 1.2345678901234567e-300;
+  support::FaultPlan a;
+  a.add_rule(rule);
+  rule.latency_seconds = std::nextafter(rule.latency_seconds, 1.0);
+  support::FaultPlan b;
+  b.add_rule(rule);
+  EXPECT_NE(a.fingerprint(), b.fingerprint());
+}
+
 TEST(FaultFingerprint, SiteFilterIgnoresNonExecutionRules) {
   support::ScopedFaultPlan scope;
   auto& plan = support::FaultPlan::global();

@@ -226,14 +226,15 @@ TEST(HotPathStats, ConcretizeCacheSnapshotsConsistentUnderInserts) {
         const auto idx = static_cast<std::size_t>((w * 3 + i) % specs.size());
         const std::string key =
             "key-" + std::to_string(w) + "-" + std::to_string(i % 8);
-        cache.insert(key, specs[idx]);
+        cache.insert(key,
+                     std::make_shared<const benchpark::spec::Spec>(specs[idx]));
         (void)cache.lookup(key);
         if (i % 16 == 0) (void)cache.invalidate(key);
       }
     });
   }
 
-  cz::ConcretizeCacheStats prev;
+  benchpark::support::SnapshotCacheStats prev;
   while (true) {
     auto st = cache.stats();
     EXPECT_LE(st.evictions, st.inserts);
@@ -269,7 +270,7 @@ TEST(HotPathStats, TemplateCacheSnapshotsConsistentUnderGets) {
     });
   }
 
-  ramble::TemplateCacheStats prev;
+  benchpark::support::SnapshotCacheStats prev;
   while (true) {
     auto st = cache.stats();
     EXPECT_LE(st.evictions, st.inserts);

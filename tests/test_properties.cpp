@@ -125,8 +125,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------------- version algebra laws
 
+// Strings, not const char*: gtest prints a const char* parameter with its
+// address, which would put a per-process value into every test name.
 class VersionPairTest
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {
+    : public ::testing::TestWithParam<std::pair<std::string, std::string>> {
 };
 
 TEST_P(VersionPairTest, IntersectsIsSymmetric) {

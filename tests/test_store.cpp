@@ -14,8 +14,11 @@
 #include <vector>
 
 #include "src/buildcache/binary_cache.hpp"
+#include "src/concretizer/concretize_cache.hpp"
+#include "src/concretizer/concretizer.hpp"
 #include "src/core/driver.hpp"
 #include "src/obs/trace.hpp"
+#include "src/pkg/repo.hpp"
 #include "src/ramble/expansion.hpp"
 #include "src/ramble/workspace.hpp"
 #include "src/store/persist.hpp"
@@ -27,6 +30,7 @@
 
 namespace buildcache = benchpark::buildcache;
 namespace core = benchpark::core;
+namespace cz = benchpark::concretizer;
 namespace fs = std::filesystem;
 namespace obs = benchpark::obs;
 namespace ramble = benchpark::ramble;
@@ -466,6 +470,85 @@ TEST(StorePersist, TemplateCacheWarmStartRestoresEntriesAndStats) {
   EXPECT_EQ(cache.stats().hits, warm_stats.hits + 2);  // template + value
   EXPECT_EQ(cache.stats().misses, warm_stats.misses);
   cache.clear();
+}
+
+TEST(StorePersist, WarmStartingTwoStoresNeverMovesCountersBackwards) {
+  // Two stores persisted at different times hold different counter
+  // snapshots; warm-starting either one later (say, a second service
+  // tenant) must never move a live counter backwards, or deltas of two
+  // stats() reads underflow.
+  auto& tcache = ramble::TemplateCache::global();
+  auto& ccache = cz::ConcretizationCache::global();
+  tcache.set_capacity(0);
+  ccache.set_capacity(0);
+  cz::Config config;
+  config.add_compiler({"gcc", benchpark::spec::Version("12.1.1"), "", ""});
+  config.set_default_target("broadwell");
+  cz::Concretizer concretizer(benchpark::pkg::default_repo_stack(), config);
+  buildcache::BinaryCache binary;
+
+  int round = 0;
+  auto traffic = [&] {
+    const std::string tag = "two-stores-" + std::to_string(round++);
+    const ramble::VariableMap vars{{"n", "4"}};
+    (void)ramble::expand(tag + " {n}", vars);
+    (void)ramble::expand(tag + " {n}", vars);
+    cz::ConcretizeRequest request;
+    request.roots = {benchpark::spec::Spec::parse("zlib"),
+                     benchpark::spec::Spec::parse("cmake")};
+    request.unify = false;
+    request.use_cache = true;
+    request.threads = 1;
+    const auto result = concretizer.concretize_all(request);
+    for (const auto& s : result.specs) {
+      (void)binary.fetch(s);
+      binary.push(s, 1000);
+      (void)binary.fetch(s);
+    }
+  };
+  auto counters = [&] {
+    const auto t = tcache.stats();
+    const auto c = ccache.stats();
+    const auto b = binary.stats();
+    return std::vector<std::size_t>{
+        t.hits, t.misses, t.inserts, t.evictions,
+        c.hits, c.misses, c.inserts, c.evictions, c.invalidations,
+        b.hits, b.misses, b.pushes,  b.retries,   b.evictions};
+  };
+  auto expect_monotone = [](const std::vector<std::size_t>& before,
+                            const std::vector<std::size_t>& after) {
+    ASSERT_EQ(before.size(), after.size());
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      EXPECT_GE(after[i], before[i]) << "counter #" << i;
+    }
+  };
+
+  support::TempDir early_dir, late_dir;
+  traffic();
+  {
+    auto early = store::Store::open(early_dir.path());
+    store::persist_global_caches(early);
+    store::persist_binary_cache(early, binary);
+    early->flush();
+  }
+  traffic();
+  {
+    auto late = store::Store::open(late_dir.path());
+    store::persist_global_caches(late);
+    store::persist_binary_cache(late, binary);
+    late->flush();
+  }
+  traffic();
+
+  for (const auto* dir : {&early_dir, &late_dir}) {
+    const auto before = counters();
+    auto s = store::Store::open(dir->path());
+    EXPECT_TRUE(store::warm_start_global_caches(s).attempted);
+    (void)store::warm_binary_cache(s, binary);
+    expect_monotone(before, counters());
+  }
+  tcache.clear();
+  ccache.clear();
 }
 
 TEST(StorePersist, CorruptPersistedRecordIsSkippedNotFatal) {
