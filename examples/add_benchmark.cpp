@@ -115,7 +115,7 @@ int main() {
                            tmp.path() / system_name);
     ws.set_repo_stack(stack);  // expose the community recipe
     ws.setup();
-    ws.run();
+    ws.run_all();
     auto report = ws.analyze();
     for (const auto& result : report.results) {
       const auto* latency = result.fom("latency_us");

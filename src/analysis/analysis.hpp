@@ -1,15 +1,14 @@
 // The one analysis entry point: run_analysis(AnalysisRequest).
 //
-// PR 4 collapsed four concretize overloads into
-// concretize_all(ConcretizeRequest); PR 5 gave the run engine
-// Workspace::run_all(RunRequest). This header does the same for the
-// analysis stack: the scattered entry points (Dashboard, ingest free
-// functions, trace bridging) become one request/result pair. A request
-// names its *sources* (experiment records, a collected trace, the FOM
-// history, a pre-built metrics db), the *detectors* to run over them
-// (change-point scan, bisection attribution, Extra-P scaling fits), and
-// the *report formats* to render (text, HTML, JSON). Every legacy entry
-// point is now a [[deprecated]] thin wrapper over the same internals.
+// Like concretize_all(ConcretizeRequest) for the concretizer and
+// Workspace::run_all(RunRequest) for the run engine, this is the only
+// way into the analysis stack: record ingestion, trace bridging, and
+// regression scanning are one request/result pair. A request names its
+// *sources* (experiment records, a collected trace, the FOM history, a
+// pre-built metrics db), the *detectors* to run over them (change-point
+// scan, bisection attribution, Extra-P scaling fits), and the *report
+// formats* to render (text, HTML, JSON). The ingestion and bridging
+// internals are private to the implementation.
 //
 // Results are deterministic: ingestion is ordered by submission index,
 // detection and bisection are pure functions of the history, and the
@@ -23,8 +22,8 @@
 #include "src/analysis/bisect.hpp"
 #include "src/analysis/detect.hpp"
 #include "src/analysis/extrap.hpp"
+#include "src/analysis/fom.hpp"
 #include "src/analysis/history.hpp"
-#include "src/analysis/ingest.hpp"
 #include "src/analysis/metrics_db.hpp"
 #include "src/analysis/thicket.hpp"
 #include "src/obs/trace.hpp"
@@ -32,22 +31,46 @@
 
 namespace benchpark::analysis {
 
+/// One completed experiment, flattened to what ingestion needs (no
+/// dependency on the ramble layer's result types).
+struct ExperimentRecord {
+  std::string benchmark;
+  std::string system;
+  std::string experiment;  // expanded experiment name
+  /// Transparent comparator: same type as ramble::VariableMap, so the
+  /// workspace's variable assignments move here without conversion.
+  std::map<std::string, std::string, std::less<>> variables;
+  /// The application's declared FOM specs (failure rows need the names
+  /// and units even when nothing was extracted).
+  std::vector<FomSpec> declared_foms;
+  /// FOMs actually extracted from the output.
+  std::vector<FomValue> foms;
+  bool success = false;
+  /// Raw experiment stdout (Caliper region profiles are parsed out of
+  /// it); may be empty.
+  std::string output;
+};
+
 struct AnalysisRequest {
   // ---- sources (any combination; all optional) -----------------------
-  /// Completed experiments to ingest (MetricsDb rows in record order +
-  /// one Thicket column per Caliper-annotated output).
+  /// Completed experiments to ingest: MetricsDb rows in record order (a
+  /// failed record yields one success=false row per declared FOM, so
+  /// cross-system tables show CRASHED cells) plus one Thicket column
+  /// "<system>/<experiment>" per Caliper-annotated output.
   const std::vector<ExperimentRecord>* records = nullptr;
   /// A collected trace: counters/gauges become rows under the
-  /// trace_* labels below; its span tree becomes a Thicket column.
+  /// trace_* labels below (counter names are the FOM names); its span
+  /// tree becomes a Thicket column, one region per span path with
+  /// inclusive seconds = wall-clock plus modeled time.
   const obs::Trace* trace = nullptr;
   std::string trace_benchmark;
   std::string trace_system;
   std::string trace_experiment;
   /// FOM time-series history to scan for change points.
   const FomHistory* history = nullptr;
-  /// Pre-built metrics rows to scan (the legacy Dashboard source); one
-  /// detector series per (benchmark, system, fom) aggregated across
-  /// experiments, like Dashboard::detect_regressions did.
+  /// Pre-built metrics rows to scan: one detector series per
+  /// (benchmark, system, fom) aggregated across experiments, in db
+  /// insertion order; failed rows are skipped.
   const MetricsDb* metrics = nullptr;
   /// Persistent store: when set and `history` is null, the history is
   /// loaded from it; bisection replays "runtime_seconds" candidates

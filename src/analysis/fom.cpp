@@ -87,12 +87,10 @@ std::vector<FomExtractResult> extract_foms_batch(
       }
     }
   };
-  int width = threads == 0 ? support::ThreadPool::default_threads() : threads;
-  if (width <= 1 || tasks.size() < 2) {
-    extract_range(0, tasks.size());
-  } else {
-    support::parallel_for(tasks.size(), width, extract_range);
-  }
+  support::parallel_for(
+      tasks.size(),
+      threads == 0 ? support::ThreadPool::default_threads() : threads,
+      extract_range);
   return results;
 }
 

@@ -56,7 +56,8 @@ public:
   [[nodiscard]] Aggregate aggregate(const Query& q) const;
   [[nodiscard]] std::size_t size() const { return rows_.size(); }
 
-  /// Distinct values of a dimension, for dashboard facets.
+  /// Distinct values of a dimension (the facets run_analysis groups
+  /// series by).
   [[nodiscard]] std::vector<std::string> distinct_systems() const;
   [[nodiscard]] std::vector<std::string> distinct_benchmarks() const;
   [[nodiscard]] std::vector<std::string> distinct_fom_names() const;
@@ -65,7 +66,7 @@ public:
   [[nodiscard]] std::vector<std::pair<std::uint64_t, double>> series(
       const Query& q) const;
 
-  /// Dashboard-style table of a query's rows.
+  /// Table of a query's rows, one line per row.
   [[nodiscard]] support::Table to_table(const Query& q) const;
 
 private:

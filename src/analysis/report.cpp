@@ -1,11 +1,11 @@
 #include "src/analysis/report.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string_view>
 
 #include "src/analysis/analysis.hpp"
-#include "src/analysis/dashboard.hpp"
 #include "src/support/string_util.hpp"
 
 namespace benchpark::analysis {
@@ -108,6 +108,24 @@ std::string bisection_json(const BisectResult& b) {
 }
 
 }  // namespace
+
+std::string sparkline(const std::vector<double>& values) {
+  static const char* kBlocks[] = {"▁", "▂", "▃", "▄",
+                                  "▅", "▆", "▇", "█"};
+  if (values.empty()) return "";
+  double lo = *std::min_element(values.begin(), values.end());
+  double hi = *std::max_element(values.begin(), values.end());
+  std::string out;
+  for (double v : values) {
+    int bucket = 0;
+    if (hi > lo) {
+      bucket = static_cast<int>((v - lo) / (hi - lo) * 7.999);
+      bucket = std::clamp(bucket, 0, 7);
+    }
+    out += kBlocks[bucket];
+  }
+  return out;
+}
 
 std::string render_json_report(const AnalysisResult& result) {
   std::string out = "{\"schema\":\"benchpark-analysis-v1\"";

@@ -7,10 +7,16 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 namespace benchpark::analysis {
 
 struct AnalysisResult;
+
+/// Unicode block sparkline of a series ("▁▂▄▆█"): the minimum maps to
+/// the lowest block, the maximum to the highest; a flat series is all
+/// lowest blocks.
+[[nodiscard]] std::string sparkline(const std::vector<double>& values);
 
 [[nodiscard]] std::string render_text_report(const AnalysisResult& result);
 [[nodiscard]] std::string render_html_report(const AnalysisResult& result);

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/analysis/extrap.hpp"
-#include "src/analysis/ingest.hpp"
 #include "src/analysis/metrics_db.hpp"
 #include "src/analysis/thicket.hpp"
 #include "src/core/driver.hpp"

@@ -335,7 +335,7 @@ void Driver::validate(const ExperimentId& id,
                       const std::string& system_name) const {
   const auto& system = SystemRegistry::instance().get(system_name);
   validate_pair(id, system);
-  experiment_config(id);  // throws on unknown experiments
+  (void)experiment_config(id);  // throws on unknown experiments
 }
 
 ramble::Workspace Driver::setup(const ExperimentId& id,

@@ -431,64 +431,6 @@ void Workspace::setup() {
   set_up_ = true;
 }
 
-void Workspace::run() {
-  if (!set_up_) throw ExperimentError("workspace is not set up");
-  sched::BatchScheduler scheduler(system_.num_nodes);
-
-  std::vector<sched::JobId> job_ids;
-  job_ids.reserve(prepared_.size());
-  for (const auto& exp : prepared_) {
-    // The rendered script is the source of truth for the request —
-    // exactly what sbatch would read (Figure 13).
-    auto request = sched::parse_batch_script(exp.script, system_.scheduler);
-
-    runtime::RunParams params;
-    params.app = exp.app;
-    auto size_var = exp.variables.find("n");
-    if (size_var == exp.variables.end()) {
-      size_var = exp.variables.find("nx");
-    }
-    if (size_var != exp.variables.end()) {
-      params.n = static_cast<std::uint64_t>(
-          expand_int(size_var->second, exp.variables));
-    }
-    params.n_nodes = request.nodes;
-    params.n_ranks = request.ranks;
-    params.n_threads = static_cast<int>(
-        expand_int(exp.variables.at("n_threads"), exp.variables));
-    params.use_gpu = exp.use_gpu;
-    // The job environment (workload env_vars + modifier injections),
-    // expanded against the experiment's variables.
-    for (const auto& [k, v] : exp.env_vars) {
-      params.env[k] = expand(v, exp.variables);
-    }
-
-    sched::BatchJob job;
-    job.name = exp.name;
-    job.user = "benchpark";
-    job.nodes = request.nodes;
-    job.ranks = request.ranks;
-    job.time_limit_seconds = request.time_limit_seconds.value_or(7200);
-    const auto& system = system_;
-    job.work = [&system, params] {
-      auto outcome = system.name == "native"
-                         ? runtime::run_native(params)
-                         : runtime::run_simulated(system, params);
-      return sched::JobResult{outcome.elapsed_seconds, outcome.success,
-                              outcome.output};
-    };
-    job_ids.push_back(scheduler.submit(std::move(job)));
-  }
-  scheduler.run_until_idle();
-
-  for (std::size_t i = 0; i < prepared_.size(); ++i) {
-    const auto& record = scheduler.record(job_ids[i]);
-    support::write_file(
-        prepared_[i].run_dir / (prepared_[i].name + ".out"), record.output);
-  }
-  ran_ = true;
-}
-
 RunReport Workspace::run_all(const RunRequest& request) {
   if (!set_up_) throw ExperimentError("workspace is not set up");
   auto& collector = obs::TraceCollector::global();
@@ -631,19 +573,13 @@ RunReport Workspace::run_all(const RunRequest& request) {
     support::write_file(exp.run_dir / (exp.name + ".out"), r.output);
   };
 
-  int width =
+  support::parallel_for(
+      prepared_.size(),
       request.threads == 0 ? support::ThreadPool::default_threads()
-                           : request.threads;
-  if (width <= 1 || prepared_.size() < 2) {
-    for (std::size_t i = 0; i < prepared_.size(); ++i) run_one(i);
-  } else {
-    support::parallel_for(prepared_.size(), width,
-                          [&](std::size_t begin, std::size_t end) {
-                            for (std::size_t i = begin; i < end; ++i) {
-                              run_one(i);
-                            }
-                          });
-  }
+                           : request.threads,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) run_one(i);
+      });
 
   // Serial aggregation in submission order: the counters and the report
   // never depend on completion interleaving.
@@ -682,43 +618,6 @@ RunReport Workspace::run_all(const RunRequest& request) {
   report.template_cache_hits = cache_after.hits - cache_before.hits;
   report.template_cache_misses = cache_after.misses - cache_before.misses;
   ran_ = true;
-  return report;
-}
-
-AnalyzeReport Workspace::analyze() const {
-  AnalyzeReport report;
-  const auto& registry = ApplicationRegistry::instance();
-  for (const auto& exp : prepared_) {
-    ExperimentResult result;
-    result.app = exp.app;
-    result.workload = exp.workload;
-    result.name = exp.name;
-    result.variables = exp.variables;
-
-    auto out_file = exp.run_dir / (exp.name + ".out");
-    if (fs::exists(out_file)) {
-      result.ran = true;
-      auto output = support::read_file(out_file);
-      const auto& app_def = registry.get(exp.app);
-      // Application FOMs plus every active modifier's FOMs and criteria
-      // (Section 4.5's architecture-specific evaluation).
-      auto fom_specs = app_def.foms();
-      auto criteria = app_def.success_criteria_list();
-      for (const auto& mod_name : exp.modifiers) {
-        auto modifier = ModifierRegistry::instance().get(mod_name);
-        auto extra_foms = modifier->foms();
-        fom_specs.insert(fom_specs.end(), extra_foms.begin(),
-                         extra_foms.end());
-        auto extra_criteria = modifier->success_criteria();
-        criteria.insert(criteria.end(), extra_criteria.begin(),
-                        extra_criteria.end());
-      }
-      result.foms = analysis::extract_foms(fom_specs, output);
-      result.success = analysis::evaluate_success(criteria, output);
-      result.output = std::move(output);
-    }
-    report.results.push_back(std::move(result));
-  }
   return report;
 }
 

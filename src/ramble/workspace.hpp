@@ -6,7 +6,7 @@
 //   ramble workspace create  -> Workspace::create
 //   ramble workspace edit    -> Workspace::configure (apply ramble.yaml)
 //   ramble workspace setup   -> Workspace::setup
-//   ramble on                -> Workspace::run
+//   ramble on                -> Workspace::run_all
 //   ramble workspace analyze -> Workspace::analyze
 //
 // setup() does what Section 3.2.3 lists: ensures compilers are available,
@@ -199,14 +199,14 @@ public:
   /// `ramble workspace setup`.
   void setup();
 
-  /// `ramble on`: execute every prepared experiment through the system's
-  /// batch scheduler (simulated; "native" runs kernels for real).
-  void run();
-
-  /// `ramble on` at scale: schedule the prepared experiments concurrently
-  /// on the shared ThreadPool (their run dirs are disjoint, so they are
-  /// independent), with per-experiment "workflow.experiment" spans,
-  /// workspace.experiments.* counters, and "experiment.exec" fault
+  /// `ramble on`: execute every prepared experiment (simulated; "native"
+  /// runs kernels for real) concurrently on the shared ThreadPool (their
+  /// run dirs are disjoint, so they are independent). Each rendered
+  /// script is parsed as the batch system would read it: a node request
+  /// above the system's size throws SchedulerError, and a run longer
+  /// than its time limit is killed (clamped, failed, and decorated like
+  /// a scheduler kill). Each experiment gets a "workflow.experiment"
+  /// span, workspace.experiments.* counters, and "experiment.exec" fault
   /// retry/backoff. Results — the .out files, their ordering, and the
   /// report — are byte-identical at every thread width: every retry and
   /// fault decision is a pure function of (seed, site, experiment name,
@@ -214,12 +214,10 @@ public:
   /// is serial in that order.
   RunReport run_all(const RunRequest& request = {});
 
-  /// `ramble workspace analyze`.
-  [[nodiscard]] AnalyzeReport analyze() const;
-
-  /// analyze() with FOM extraction fanned out over completed experiments
-  /// (pure per-experiment regex work). Same report, any thread width.
-  [[nodiscard]] AnalyzeReport analyze(const RunRequest& request) const;
+  /// `ramble workspace analyze`: FOM extraction and success criteria,
+  /// fanned out over completed experiments (pure per-experiment regex
+  /// work). Same report at any thread width.
+  [[nodiscard]] AnalyzeReport analyze(const RunRequest& request = {}) const;
 
   // -- introspection ------------------------------------------------------
   [[nodiscard]] const std::filesystem::path& root() const { return root_; }

@@ -1,13 +1,17 @@
 // Analysis-layer tests: FOM extraction (Figure 8 semantics), Extra-P
-// model fitting (Figure 14), metrics database, Thicket composition, and
-// the Caliper/Adiak substrate they consume.
+// model fitting (Figure 14), metrics database, Thicket composition, the
+// Caliper/Adiak substrate they consume, and the results-dashboard view
+// (sparklines, per-series regression scans) of run_analysis over a
+// metrics db.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "src/analysis/analysis.hpp"
 #include "src/analysis/extrap.hpp"
 #include "src/analysis/fom.hpp"
 #include "src/analysis/metrics_db.hpp"
+#include "src/analysis/report.hpp"
 #include "src/analysis/thicket.hpp"
 #include "src/perf/caliper.hpp"
 #include "src/support/error.hpp"
@@ -384,4 +388,169 @@ TEST(ThicketExtrap, ModelFromProfilesAcrossScales) {
   auto model = an::fit_scaling_model(data);
   EXPECT_NEAR(model.exponent, 1.0, 1e-9);
   EXPECT_NEAR(model.coefficient, 0.047, 1e-6);
+}
+
+// ------------------------------------------------------------- dashboard
+
+namespace {
+
+an::ResultRow elapsed_row(const std::string& bench, const std::string& system,
+                          double value, bool ok = true) {
+  an::ResultRow r;
+  r.benchmark = bench;
+  r.system = system;
+  r.experiment = bench + "_e";
+  r.fom_name = "elapsed";
+  r.value = value;
+  r.units = "s";
+  r.success = ok;
+  return r;
+}
+
+/// Scan one FOM of a metrics db: one series per (benchmark, system),
+/// each sample judged once 4 earlier samples form its baseline.
+an::AnalysisResult scan_metrics(const an::MetricsDb& db,
+                                const std::string& fom,
+                                bool higher_is_worse = true) {
+  an::AnalysisRequest request;
+  request.metrics = &db;
+  request.foms = {fom};
+  request.detector.warmup = 4;
+  request.higher_is_worse_overrides = {{fom, higher_is_worse}};
+  request.render_text = true;
+  return an::run_analysis(request);
+}
+
+const an::SeriesReport* find_series(const an::AnalysisResult& result,
+                                    const std::string& bench,
+                                    const std::string& system) {
+  for (const auto& s : result.series) {
+    if (s.key.benchmark == bench && s.key.system == system) return &s;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+TEST(Sparkline, MapsRangeToBlocks) {
+  auto line = an::sparkline({0, 1, 2, 3});
+  EXPECT_FALSE(line.empty());
+  // First char is the lowest block, last the highest.
+  EXPECT_EQ(line.substr(0, 3), "▁");
+  EXPECT_EQ(line.substr(line.size() - 3), "█");
+}
+
+TEST(Sparkline, FlatSeriesAllLow) {
+  auto line = an::sparkline({5, 5, 5});
+  EXPECT_EQ(line, "▁▁▁");
+  EXPECT_EQ(an::sparkline({}), "");
+}
+
+TEST(Dashboard, GridShowsLatestValues) {
+  an::MetricsDb db;
+  db.insert(elapsed_row("saxpy", "cts1", 1.0));
+  db.insert(elapsed_row("saxpy", "cts1", 1.2));
+  db.insert(elapsed_row("saxpy", "ats2", 0.4));
+  db.insert(elapsed_row("amg2023", "cts1", 9.0));
+  auto result = scan_metrics(db, "elapsed");
+  EXPECT_EQ(result.series.size(), 3u);
+  const auto* saxpy_cts1 = find_series(result, "saxpy", "cts1");
+  ASSERT_NE(saxpy_cts1, nullptr);
+  EXPECT_DOUBLE_EQ(saxpy_cts1->samples.back().value, 1.2);  // latest
+  const auto* saxpy_ats2 = find_series(result, "saxpy", "ats2");
+  ASSERT_NE(saxpy_ats2, nullptr);
+  EXPECT_DOUBLE_EQ(saxpy_ats2->samples.back().value, 0.4);
+  EXPECT_NE(find_series(result, "amg2023", "cts1"), nullptr);
+  // No data, no series (amg2023 on ats2).
+  EXPECT_EQ(find_series(result, "amg2023", "ats2"), nullptr);
+  EXPECT_NE(result.text.find("amg2023/cts1"), std::string::npos);
+}
+
+TEST(Dashboard, GridIgnoresFailedRuns) {
+  an::MetricsDb db;
+  db.insert(elapsed_row("saxpy", "cts1", 1.0));
+  db.insert(elapsed_row("saxpy", "cts1", 99.0, /*ok=*/false));
+  auto result = scan_metrics(db, "elapsed");
+  ASSERT_EQ(result.series.size(), 1u);
+  ASSERT_EQ(result.series[0].samples.size(), 1u);
+  EXPECT_DOUBLE_EQ(result.series[0].samples[0].value, 1.0);
+  EXPECT_EQ(result.text.find("99"), std::string::npos);
+}
+
+TEST(Dashboard, DetectsTimeRegression) {
+  an::MetricsDb db;
+  for (double v : {1.00, 1.02, 0.99, 1.01}) {
+    db.insert(elapsed_row("saxpy", "cts1", v));
+  }
+  db.insert(elapsed_row("saxpy", "cts1", 1.5));  // the regression
+  auto result = scan_metrics(db, "elapsed");
+  EXPECT_EQ(result.regressed_series(), 1u);
+  ASSERT_EQ(result.series.size(), 1u);
+  const auto& series = result.series[0];
+  EXPECT_EQ(series.key.benchmark, "saxpy");
+  ASSERT_EQ(series.change_points.size(), 1u);
+  const auto& change = series.change_points[0].classification;
+  EXPECT_EQ(change.verdict, an::Verdict::regression);
+  EXPECT_DOUBLE_EQ(change.value, 1.5);
+  EXPECT_GT(change.score, 2.0);
+  EXPECT_NE(result.text.find("saxpy/cts1"), std::string::npos);
+}
+
+TEST(Dashboard, NoFalsePositiveOnStableSeries) {
+  an::MetricsDb db;
+  for (double v : {1.00, 1.02, 0.99, 1.01, 1.00}) {
+    db.insert(elapsed_row("saxpy", "cts1", v));
+  }
+  auto result = scan_metrics(db, "elapsed");
+  EXPECT_EQ(result.regressed_series(), 0u);
+  ASSERT_EQ(result.series.size(), 1u);
+  EXPECT_TRUE(result.series[0].change_points.empty());
+  ASSERT_TRUE(result.series[0].has_latest);
+  EXPECT_EQ(result.series[0].latest.verdict, an::Verdict::ok);
+}
+
+TEST(Dashboard, RateRegressionUsesDirection) {
+  an::MetricsDb db;
+  an::ResultRow r = elapsed_row("amg2023", "cts1", 0);
+  r.fom_name = "FOM_Solve";
+  for (double v : {3e7, 3.1e7, 2.9e7, 3.05e7}) {
+    r.value = v;
+    db.insert(r);
+  }
+  r.value = 1e7;  // throughput collapse = regression for rates
+  db.insert(r);
+  // higher_is_worse=true would call it an improvement; false catches it.
+  auto as_time = scan_metrics(db, "FOM_Solve", /*higher_is_worse=*/true);
+  EXPECT_EQ(as_time.regressed_series(), 0u);
+  EXPECT_EQ(as_time.stats.improvements, 1u);
+  auto as_rate = scan_metrics(db, "FOM_Solve", /*higher_is_worse=*/false);
+  EXPECT_EQ(as_rate.regressed_series(), 1u);
+}
+
+TEST(Dashboard, ShortSeriesSkipped) {
+  an::MetricsDb db;
+  db.insert(elapsed_row("saxpy", "cts1", 1.0));
+  db.insert(elapsed_row("saxpy", "cts1", 100.0));
+  auto result = scan_metrics(db, "elapsed");
+  ASSERT_EQ(result.series.size(), 1u);
+  EXPECT_TRUE(result.series[0].change_points.empty());
+  EXPECT_FALSE(result.series[0].has_latest);  // below warmup: not judged
+  EXPECT_EQ(result.regressed_series(), 0u);
+}
+
+TEST(Dashboard, RenderIncludesRegressionSection) {
+  an::MetricsDb db;
+  for (double v : {1.0, 1.0, 1.0, 1.0}) {
+    db.insert(elapsed_row("saxpy", "cts1", v));
+  }
+  db.insert(elapsed_row("saxpy", "cts1", 2.0));
+  auto text = scan_metrics(db, "elapsed").text;
+  EXPECT_NE(text.find("1 regression(s)"), std::string::npos) << text;
+  EXPECT_NE(text.find("regression at seq 5"), std::string::npos) << text;
+}
+
+TEST(Dashboard, NullDbThrows) {
+  an::AnalysisRequest request;
+  request.metrics = nullptr;  // and no other source
+  EXPECT_THROW((void)an::run_analysis(request), benchpark::AnalysisError);
 }

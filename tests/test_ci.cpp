@@ -94,7 +94,7 @@ TEST(Git, PrValidation) {
   EXPECT_THROW(host.open_pr("t", "u", "llnl/benchpark", "ghost-branch",
                             "llnl/benchpark"),
                benchpark::CiError);
-  EXPECT_THROW(host.pr(42), benchpark::CiError);
+  EXPECT_THROW((void)host.pr(42), benchpark::CiError);
 }
 
 // ------------------------------------------------------------------ hubcast

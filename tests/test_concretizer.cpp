@@ -1,8 +1,8 @@
 // Concretizer tests: version selection, virtual resolution, externals
 // (Figure 4), compiler/target assignment, unification (Figure 3's
 // "concretizer: unify: true"), conflicts, packages.yaml round-trips, the
-// unified concretize_all(ConcretizeRequest) entry point, the
-// ConcretizationError taxonomy, and the deprecated legacy overloads.
+// unified concretize_all(ConcretizeRequest) entry point (including what
+// the removed legacy overloads did), and the ConcretizationError taxonomy.
 #include <gtest/gtest.h>
 
 #include "src/concretizer/concretizer.hpp"

@@ -1,11 +1,12 @@
 // Core driver tests: Table 1 registry, the `benchpark <experiment>
 // <system> <workspace>` entry point, the Figure 1c workflow, the Figure
-// 1a repo tree, and multi-system campaigns.
+// 1a repo tree, multi-system campaigns, and benchmark usage metrics.
 #include <gtest/gtest.h>
 
 #include "src/core/campaign.hpp"
 #include "src/core/components.hpp"
 #include "src/core/driver.hpp"
+#include "src/core/usage.hpp"
 #include "src/support/error.hpp"
 #include "src/support/fs_util.hpp"
 #include "src/yaml/parser.hpp"
@@ -69,7 +70,7 @@ TEST(Driver, ListsPaperBenchmarksAndSystems) {
 
 TEST(Driver, UnknownExperimentThrows) {
   Driver driver;
-  EXPECT_THROW(driver.experiment_config({"hpl", "openmp"}),
+  EXPECT_THROW((void)driver.experiment_config({"hpl", "openmp"}),
                benchpark::Error);
 }
 
@@ -244,4 +245,38 @@ TEST(Campaign, IncompatibleSystemRecordedNotFatal) {
   EXPECT_EQ(campaign.summaries()[1].experiments, 0u);
   EXPECT_NE(campaign.summaries()[1].first_failure.find("CPU-only"),
             std::string::npos);
+}
+
+TEST(Usage, TracksSetupsRunsContributions) {
+  auto& usage = core::UsageMetrics::instance();
+  usage.reset();
+  usage.record_setup("saxpy");
+  usage.record_setup("saxpy");
+  usage.record_runs("saxpy", 8);
+  usage.record_setup("amg2023");
+  usage.record_contribution("stream");
+
+  EXPECT_EQ(usage.get("saxpy").setups, 2u);
+  EXPECT_EQ(usage.get("saxpy").runs, 8u);
+  EXPECT_EQ(usage.get("stream").contributions, 1u);
+  EXPECT_EQ(usage.get("never-used").setups, 0u);
+
+  auto ranking = usage.ranking();
+  ASSERT_GE(ranking.size(), 3u);
+  EXPECT_EQ(ranking[0].benchmark, "saxpy");  // most heavily accessed
+
+  auto text = usage.to_table().render();
+  EXPECT_NE(text.find("saxpy"), std::string::npos);
+  usage.reset();
+}
+
+TEST(Usage, RecencyIncreasesMonotonically) {
+  auto& usage = core::UsageMetrics::instance();
+  usage.reset();
+  usage.record_setup("a");
+  usage.record_setup("b");
+  EXPECT_LT(usage.get("a").last_event, usage.get("b").last_event);
+  usage.record_runs("a", 1);
+  EXPECT_GT(usage.get("a").last_event, usage.get("b").last_event);
+  usage.reset();
 }

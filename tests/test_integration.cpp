@@ -227,7 +227,7 @@ TEST(Integration, WorkflowOutputsSurviveOnDisk) {
   ramble::Workspace ws =
       driver.setup({"saxpy", "openmp"}, "cts1", tmp.path() / "ws");
   ws.setup();
-  ws.run();
+  ws.run_all();
 
   // Every experiment directory holds the script and the output; configs
   // hold the four per-system files plus ramble.yaml.

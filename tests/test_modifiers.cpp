@@ -136,7 +136,7 @@ TEST(WorkspaceModifiers, AnalyzeExtractsModifierFoms) {
   benchpark::support::TempDir tmp;
   auto ws = modified_workspace(tmp);
   ws.setup();
-  ws.run();
+  ws.run_all();
   auto report = ws.analyze();
   ASSERT_EQ(report.results.size(), 1u);
   const auto& result = report.results[0];
@@ -156,7 +156,7 @@ TEST(WorkspaceModifiers, CaliperRegionsAreConsistent) {
   benchpark::support::TempDir tmp;
   auto ws = modified_workspace(tmp);
   ws.setup();
-  ws.run();
+  ws.run_all();
   auto report = ws.analyze();
   const auto& result = report.results[0];
   double main_time = result.fom("cali_main")->value;

@@ -11,7 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/analysis/trace_bridge.hpp"
+#include "src/analysis/analysis.hpp"
 #include "src/buildcache/binary_cache.hpp"
 #include "src/concretizer/concretizer.hpp"
 #include "src/install/installer.hpp"
@@ -522,25 +522,43 @@ TEST(TraceBridge, TraceBecomesProfileAndMetrics) {
   collector.emit_span("attempt", "install", 2.0);
   collector.counter_add("buildcache.hits", 3);
   collector.gauge_set("pool.queue_depth", 5.0);
-  collector.attach_metadata("system", "cts1");
+  collector.attach_metadata("compiler", "gcc");
   auto trace = collector.snapshot();
 
-  auto profile = benchpark::analysis::detail::trace_to_profile(trace);
-  const auto* region = profile.find("workflow/install");
-  ASSERT_NE(region, nullptr);
-  EXPECT_EQ(region->count, 1u);
-  const auto* attempt = profile.find("attempt");
-  ASSERT_NE(attempt, nullptr);
-  EXPECT_NEAR(attempt->inclusive_seconds, 2.0, 1e-9);
-  EXPECT_EQ(profile.metadata.at("system"), "cts1");
+  benchpark::analysis::AnalysisRequest request;
+  request.trace = &trace;
+  request.trace_benchmark = "amg2023";
+  request.trace_system = "cts1";
+  request.trace_experiment = "exp1";
+  auto result = benchpark::analysis::run_analysis(request);
 
-  benchpark::analysis::MetricsDb db;
-  auto inserted = benchpark::analysis::detail::trace_to_metrics(
-      trace, db, "amg2023", "cts1", "exp1");
-  EXPECT_EQ(inserted, 2u);
+  // The span tree is one Thicket column, one region per span path.
+  const auto& thicket = result.thicket;
+  ASSERT_EQ(thicket.column_names(),
+            std::vector<std::string>{"cts1/exp1"});
+  EXPECT_EQ(thicket.paths(),
+            (std::vector<std::string>{"attempt", "workflow",
+                                      "workflow/install"}));
+  auto install = thicket.stats_for("workflow/install");
+  ASSERT_TRUE(install.has_value());
+  EXPECT_EQ(install->present_in, 1u);
+  auto attempt = thicket.value("attempt", "cts1/exp1");
+  ASSERT_TRUE(attempt.has_value());
+  EXPECT_NEAR(*attempt, 2.0, 1e-9);
+  // Trace metadata carries over as profile metadata.
+  auto with_compiler = thicket.filter(
+      [](const std::map<std::string, std::string>& m) {
+        auto it = m.find("compiler");
+        return it != m.end() && it->second == "gcc";
+      });
+  EXPECT_EQ(with_compiler.num_profiles(), 1u);
+
+  // Counters and gauges are rows.
+  EXPECT_EQ(result.stats.rows_ingested, 2u);
+  EXPECT_EQ(result.db.size(), 2u);
   benchpark::analysis::Query q;
   q.fom_name = "buildcache.hits";
-  auto rows = db.query(q);
+  auto rows = result.db.query(q);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_DOUBLE_EQ(rows[0]->value, 3.0);
   EXPECT_EQ(rows[0]->system, "cts1");

@@ -154,7 +154,7 @@ TEST(RepoStack, OverlayShadowsUpstream) {
 
 TEST(RepoStack, UnknownPackageThrows) {
   auto stack = pkg::default_repo_stack();
-  EXPECT_THROW(stack.get("no-such-package"), benchpark::PackageError);
+  EXPECT_THROW((void)stack.get("no-such-package"), benchpark::PackageError);
 }
 
 TEST(RepoStack, PackageNamesSortedUnique) {

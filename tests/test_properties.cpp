@@ -14,6 +14,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 #include <thread>
 
 #include "src/analysis/extrap.hpp"
@@ -42,6 +43,13 @@ struct WorkflowCase {
   const char* system;
   bool expect_all_success;
 };
+
+// gtest would otherwise dump the struct's bytes (its string pointers)
+// into every test name, making the ctest names differ per build.
+void PrintTo(const WorkflowCase& c, std::ostream* os) {
+  *os << c.benchmark << "/" << c.variant << "@" << c.system
+      << (c.expect_all_success ? " (succeeds)" : " (fails)");
+}
 
 class WorkflowMatrixTest : public ::testing::TestWithParam<WorkflowCase> {};
 

@@ -159,7 +159,7 @@ TEST(Applications, RegistryHasPaperBenchmarks) {
     EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
         << name;
   }
-  EXPECT_THROW(ramble::ApplicationRegistry::instance().get("hpl"),
+  EXPECT_THROW((void)ramble::ApplicationRegistry::instance().get("hpl"),
                benchpark::ExperimentError);
 }
 
@@ -452,7 +452,7 @@ TEST(Workspace, RunExecutesAllExperiments) {
   benchpark::support::TempDir tmp;
   auto ws = make_saxpy_workspace(tmp);
   ws.setup();
-  ws.run();
+  ws.run_all();
   EXPECT_TRUE(ws.has_run());
   for (const auto& exp : ws.prepared()) {
     auto out = ws.root() / "experiments" / exp.app / exp.workload /
@@ -467,7 +467,7 @@ TEST(Workspace, AnalyzeExtractsFoms) {
   benchpark::support::TempDir tmp;
   auto ws = make_saxpy_workspace(tmp);
   ws.setup();
-  ws.run();
+  ws.run_all();
   auto report = ws.analyze();
   ASSERT_EQ(report.results.size(), 8u);
   EXPECT_EQ(report.num_success(), 8u);
@@ -489,7 +489,7 @@ TEST(Workspace, LifecycleEnforced) {
   auto ws = ramble::Workspace::create(tmp.path() / "ws", system);
   EXPECT_THROW(ws.setup(), benchpark::ExperimentError);  // not configured
   ws.configure(benchpark::yaml::parse(kSaxpyRambleYaml));
-  EXPECT_THROW(ws.run(), benchpark::ExperimentError);    // not set up
+  EXPECT_THROW(ws.run_all(), benchpark::ExperimentError);  // not set up
 }
 
 TEST(Workspace, UnknownAliasInEnvironmentThrows) {
@@ -521,13 +521,13 @@ TEST(Workspace, ReusedWorkspaceIsReproducible) {
   benchpark::support::TempDir tmp;
   auto ws1 = make_saxpy_workspace(tmp);
   ws1.setup();
-  ws1.run();
+  ws1.run_all();
   auto report1 = ws1.analyze();
 
   benchpark::support::TempDir tmp2;
   auto ws2 = make_saxpy_workspace(tmp2);
   ws2.setup();
-  ws2.run();
+  ws2.run_all();
   auto report2 = ws2.analyze();
 
   // Simulated systems are deterministic: same FOMs bit-for-bit.
@@ -571,7 +571,7 @@ TEST(Workspace, GpuExperimentOnAts2) {
   // LSF system: jsrun launcher and #BSUB directives in the script.
   EXPECT_NE(ws.prepared()[0].script.find("jsrun"), std::string::npos);
   EXPECT_NE(ws.prepared()[0].script.find("#BSUB"), std::string::npos);
-  ws.run();
+  ws.run_all();
   auto report = ws.analyze();
   EXPECT_EQ(report.num_success(), 1u);
 }

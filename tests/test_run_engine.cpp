@@ -1,9 +1,10 @@
 // Parallel experiment-run engine tests: TemplateCache counter exactness
 // under concurrent expansion, run_with_retry attempt accounting through
 // the "experiment.exec" fault site, serial-vs-parallel byte parity of
-// Workspace::run_all (clean and under a fault plan), and the parallel
-// analysis/ingestion helpers. This suite carries the "threads" label so
-// the TSAN CI job races the cache and the run engine for real.
+// Workspace::run_all (clean, under a fault plan, and on a time-limit
+// kill), and parallel ingestion through run_analysis. This suite
+// carries the "threads" label so the TSAN CI job races the cache and the
+// run engine for real.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -12,14 +13,15 @@
 #include <thread>
 #include <vector>
 
+#include "src/analysis/analysis.hpp"
 #include "src/analysis/fom.hpp"
-#include "src/analysis/ingest.hpp"
 #include "src/ramble/expansion.hpp"
 #include "src/ramble/workspace.hpp"
 #include "src/runtime/simexec.hpp"
 #include "src/support/error.hpp"
 #include "src/support/fault.hpp"
 #include "src/support/fs_util.hpp"
+#include "src/support/string_util.hpp"
 #include "src/system/system.hpp"
 #include "src/yaml/parser.hpp"
 
@@ -432,6 +434,82 @@ TEST(RunEngine, RunAllRequiresSetup) {
   EXPECT_THROW(ws.run_all(), benchpark::ExperimentError);
 }
 
+TEST(RunEngine, TimeLimitKillIsIdenticalAtEveryWidth) {
+  ScopedTemplateCache cache_scope;
+  support::ScopedFaultPlan fault_scope;
+  auto& plan = support::FaultPlan::global();
+  plan.clear();
+  // One experiment runs 60 modeled seconds longer than usual; every
+  // script asks for 0.5 minutes ("#SBATCH -t 0.5:00").
+  const std::string slow = "saxpy_512_1_8_2";
+  support::FaultRule rule;
+  rule.site = "experiment.exec";
+  rule.key = slow;
+  rule.latency_seconds = 60;
+  rule.kind = support::FaultKind::none;
+  plan.add_rule(rule);
+  const std::string yaml = support::replace_all(
+      kSaxpyRambleYaml, "batch_time: '120'", "batch_time: '0.5'");
+  auto make = [&yaml](const support::TempDir& tmp) {
+    auto ws = ramble::Workspace::create(
+        tmp.path() / "workspace", sys::SystemRegistry::instance().get("cts1"));
+    ws.configure(benchpark::yaml::parse(yaml));
+    ws.setup();
+    return ws;
+  };
+
+  support::TempDir tmp_serial;
+  support::TempDir tmp_parallel;
+  auto ws_serial = make(tmp_serial);
+  auto ws_parallel = make(tmp_parallel);
+  auto serial = ws_serial.run_all(ramble::RunRequest{.threads = 1});
+  auto parallel = ws_parallel.run_all(ramble::RunRequest{.threads = 8});
+
+  EXPECT_EQ(serial.experiments, 8u);
+  EXPECT_EQ(serial.timeouts, 1u);
+  EXPECT_EQ(serial.failed, 1u);
+  expect_reports_equal(serial, parallel);
+
+  bool saw_slow = false;
+  for (std::size_t i = 0; i < ws_serial.prepared().size(); ++i) {
+    const auto& exp = ws_serial.prepared()[i];
+    const auto& outcome = serial.per_experiment[i];
+    auto bytes = support::read_file(out_path(ws_serial, exp));
+    EXPECT_EQ(bytes, support::read_file(
+                         out_path(ws_parallel, ws_parallel.prepared()[i])))
+        << exp.name;
+    if (exp.name != slow) {
+      EXPECT_TRUE(outcome.success) << exp.name;
+      continue;
+    }
+    saw_slow = true;
+    EXPECT_FALSE(outcome.success);
+    EXPECT_DOUBLE_EQ(outcome.runtime_seconds, 30.0);  // clamped to limit
+    // Job ids follow submission order, like the batch scheduler's.
+    const std::string kill = "\nslurmstepd: *** JOB " + std::to_string(i + 1) +
+                             " CANCELLED DUE TO TIME LIMIT ***\n";
+    ASSERT_GE(bytes.size(), kill.size());
+    EXPECT_EQ(bytes.substr(bytes.size() - kill.size()), kill);
+  }
+  EXPECT_TRUE(saw_slow);
+}
+
+TEST(RunEngine, NodeRequestAboveSystemSizeThrows) {
+  // cts1 has 256 nodes; the n_nodes=512 experiments cannot be placed.
+  const std::string yaml = support::replace_all(
+      kSaxpyRambleYaml, "n_nodes: ['1', '2']", "n_nodes: ['1', '512']");
+  for (int threads : {1, 8}) {
+    support::TempDir tmp;
+    auto ws = ramble::Workspace::create(
+        tmp.path() / "workspace", sys::SystemRegistry::instance().get("cts1"));
+    ws.configure(benchpark::yaml::parse(yaml));
+    ws.setup();
+    EXPECT_THROW(ws.run_all(ramble::RunRequest{.threads = threads}),
+                 benchpark::SchedulerError)
+        << threads;
+  }
+}
+
 // ---------------------------------------------------- parallel analysis
 
 TEST(Analysis, ExtractFomsBatchMatchesSerialAtAnyWidth) {
@@ -502,6 +580,16 @@ analysis::ExperimentRecord make_record(const std::string& system,
   return record;
 }
 
+/// Ingest `records` through the façade (ingestion only) at `threads`.
+analysis::AnalysisResult ingest(
+    const std::vector<analysis::ExperimentRecord>& records, int threads) {
+  analysis::AnalysisRequest request;
+  request.records = &records;
+  request.detect = false;
+  request.threads = threads;
+  return analysis::run_analysis(request);
+}
+
 }  // namespace
 
 TEST(Ingest, RowsFromRecordsKeepsCampaignSemantics) {
@@ -510,7 +598,8 @@ TEST(Ingest, RowsFromRecordsKeepsCampaignSemantics) {
       make_record("cts1", "crashed_1", false),
       make_record("ats2", "ok_2", true)};
 
-  auto rows = analysis::detail::rows_from_records(records, 1);
+  auto serial = ingest(records, 1);
+  const auto& rows = serial.ingested_rows;
   // Success records contribute one row per *numeric* FOM (1 each);
   // the failed record one CRASHED row per *declared* FOM (2).
   ASSERT_EQ(rows.size(), 4u);
@@ -528,33 +617,48 @@ TEST(Ingest, RowsFromRecordsKeepsCampaignSemantics) {
 
   // Parallel build, identical rows; serial insertion numbers them in
   // record order.
-  auto wide = analysis::detail::rows_from_records(records, 8);
-  ASSERT_EQ(wide.size(), rows.size());
+  auto wide = ingest(records, 8);
+  ASSERT_EQ(wide.ingested_rows.size(), rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(wide[i].experiment, rows[i].experiment) << i;
-    EXPECT_EQ(wide[i].fom_name, rows[i].fom_name) << i;
+    EXPECT_EQ(wide.ingested_rows[i].experiment, rows[i].experiment) << i;
+    EXPECT_EQ(wide.ingested_rows[i].fom_name, rows[i].fom_name) << i;
   }
-  analysis::MetricsDb db;
-  analysis::detail::insert_rows(db, rows);
-  EXPECT_EQ(db.size(), rows.size());
+  EXPECT_EQ(serial.db.size(), rows.size());
+  EXPECT_EQ(serial.stats.rows_ingested, rows.size());
+  auto numbered = wide.db.query({});
+  ASSERT_EQ(numbered.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(numbered[i]->sequence, i + 1) << i;
+    EXPECT_EQ(numbered[i]->experiment, rows[i].experiment) << i;
+  }
 }
 
 TEST(Ingest, ProfileFromOutputParsesCaliperSection) {
-  auto profile = analysis::detail::profile_from_output(
-      "noise line\n"
-      "caliper: region profile\n"
-      "main 0.500000 s\n"
-      "main/kernel 0.300000 s\n"
-      "trailing non-profile line\n");
-  ASSERT_TRUE(profile.has_value());
-  ASSERT_EQ(profile->regions.size(), 2u);
-  EXPECT_EQ(profile->regions[0].path, "main");
-  EXPECT_DOUBLE_EQ(profile->regions[0].inclusive_seconds, 0.5);
-  EXPECT_EQ(profile->regions[1].path, "main/kernel");
+  auto with_output = [](std::string output) {
+    auto record = make_record("cts1", "ok_1", true);
+    record.output = std::move(output);
+    return std::vector<analysis::ExperimentRecord>{record};
+  };
+  auto parsed = ingest(with_output("noise line\n"
+                                   "caliper: region profile\n"
+                                   "main 0.500000 s\n"
+                                   "main/kernel 0.300000 s\n"
+                                   "trailing non-profile line\n"),
+                       1);
+  ASSERT_EQ(parsed.thicket.num_profiles(), 1u);
+  // The section ends at the first line that does not parse.
+  EXPECT_EQ(parsed.thicket.paths(),
+            (std::vector<std::string>{"main", "main/kernel"}));
+  auto main = parsed.thicket.value("main", "cts1/ok_1");
+  ASSERT_TRUE(main.has_value());
+  EXPECT_DOUBLE_EQ(*main, 0.5);
 
-  EXPECT_FALSE(analysis::detail::profile_from_output("no marker here").has_value());
-  EXPECT_FALSE(
-      analysis::detail::profile_from_output("caliper: region profile\n").has_value());
+  EXPECT_EQ(ingest(with_output("no marker here"), 1).thicket.num_profiles(),
+            0u);
+  EXPECT_EQ(
+      ingest(with_output("caliper: region profile\n"), 1)
+          .thicket.num_profiles(),
+      0u);
 }
 
 TEST(Ingest, ThicketFromRecordsBuildsMetadataColumns) {
@@ -562,8 +666,10 @@ TEST(Ingest, ThicketFromRecordsBuildsMetadataColumns) {
       make_record("cts1", "ok_1", true),
       make_record("cts1", "crashed_1", false),  // no output: no column
       make_record("ats2", "ok_2", true)};
-  auto thicket = analysis::detail::thicket_from_records(records, 8);
+  auto result = ingest(records, 8);
+  const auto& thicket = result.thicket;
   EXPECT_EQ(thicket.num_profiles(), 2u);
+  EXPECT_EQ(result.stats.thicket_columns, 2u);
   auto names = thicket.column_names();
   ASSERT_EQ(names.size(), 2u);
   EXPECT_EQ(names[0], "cts1/ok_1");
@@ -578,4 +684,16 @@ TEST(Ingest, ThicketFromRecordsBuildsMetadataColumns) {
         return it != m.end() && it->second == "cts1";
       });
   EXPECT_EQ(cts1_only.num_profiles(), 1u);
+
+  // A caller-owned sink receives the same columns, in record order.
+  analysis::Thicket sink;
+  analysis::AnalysisRequest request;
+  request.records = &records;
+  request.thicket_out = &sink;
+  request.detect = false;
+  request.threads = 8;
+  auto sunk = analysis::run_analysis(request);
+  EXPECT_EQ(sunk.thicket.num_profiles(), 0u);
+  EXPECT_EQ(sink.column_names(), names);
+  EXPECT_EQ(sunk.stats.thicket_columns, 2u);
 }

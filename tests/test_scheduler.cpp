@@ -210,7 +210,7 @@ TEST(Scheduler, AccountingListsAllJobs) {
   for (int i = 0; i < 5; ++i) (void)s.submit(quick_job("j", 1, 10));
   s.run_until_idle();
   EXPECT_EQ(s.records().size(), 5u);
-  EXPECT_THROW(s.record(999), benchpark::SchedulerError);
+  EXPECT_THROW((void)s.record(999), benchpark::SchedulerError);
 }
 
 TEST(Scheduler, ThrowingJobReleasesItsNodes) {
