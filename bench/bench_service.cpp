@@ -118,7 +118,6 @@ void BM_SubmitDurable(benchmark::State& state) {
   config.workers = 2;  // dispatch keeps pace, so the queue stays bounded
   config.max_queued_total = 1u << 20;
   config.default_quota = {1.0, 4, 1u << 20};
-  config.durable_submits = true;
   config.runner = null_runner();
   serve::BenchService service(std::move(config));
 

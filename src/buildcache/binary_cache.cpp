@@ -1,7 +1,5 @@
 #include "src/buildcache/binary_cache.hpp"
 
-#include <algorithm>
-
 #include "src/obs/trace.hpp"
 #include "src/support/error.hpp"
 #include "src/support/fault.hpp"
@@ -22,21 +20,20 @@ std::optional<CacheEntry> BinaryCache::fetch(const spec::Spec& concrete) {
   // exactly one hit or miss, so cache statistics stay comparable whether
   // or not a chaos plan is active.
   double injected = 0.0;
-  const int max_attempts = 1 + std::max(0, fetch_retries_);
-  for (int attempt = 1;; ++attempt) {
-    try {
-      injected += support::fault_hit("buildcache.fetch", hash,
-                                     static_cast<std::uint64_t>(attempt));
-      break;
-    } catch (const TransientError&) {
-      if (attempt >= max_attempts) {
-        span.annotate("outcome", "transient-exhausted");
-        throw;
-      }
-      retries_.fetch_add(1, std::memory_order_release);
-      collector.counter_add("buildcache.retries");
-      injected += base_latency_seconds_;  // re-request round trip
-    }
+  try {
+    support::retry_transient(
+        [&](int attempt) {
+          injected += support::fault_hit("buildcache.fetch", hash,
+                                         static_cast<std::uint64_t>(attempt));
+        },
+        [&](int, const TransientError&) {
+          retries_.fetch_add(1, std::memory_order_release);
+          collector.counter_add("buildcache.retries");
+          injected += base_latency_seconds_;  // re-request round trip
+        });
+  } catch (const TransientError&) {
+    span.annotate("outcome", "transient-exhausted");
+    throw;
   }
   auto entry = lookup(hash);
   span.annotate("outcome", entry ? "hit" : "miss");

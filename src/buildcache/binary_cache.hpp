@@ -78,16 +78,12 @@ public:
 
   /// Mirror lookup; counts a hit or a miss. The request passes through
   /// the "buildcache.fetch" fault site: transient faults are retried
-  /// internally up to fetch_retries() times (each retry paying another
+  /// through support::retry_transient (each retry paying another
   /// modeled round-trip, accumulated into the returned entry's
   /// injected_latency_seconds); exhausted transients rethrow
   /// TransientError and permanent faults rethrow PermanentError — the
   /// installer falls back to a source build in both cases.
   [[nodiscard]] std::optional<CacheEntry> fetch(const spec::Spec& concrete);
-
-  /// Transparent retries per fetch after the first attempt (default 2).
-  void set_fetch_retries(int retries) { fetch_retries_ = retries; }
-  [[nodiscard]] int fetch_retries() const { return fetch_retries_; }
 
   /// Publish a built artifact (every successful source build feeds the
   /// mirror — the paper's rolling cache). Overwrites any entry with the
@@ -114,7 +110,6 @@ public:
 private:
   double base_latency_seconds_;
   double bytes_per_second_;
-  int fetch_retries_ = 2;
   std::atomic<std::size_t> retries_{0};
 };
 

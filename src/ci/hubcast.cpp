@@ -113,27 +113,27 @@ std::optional<std::string> Hubcast::try_mirror_pr(std::uint64_t pr_id) {
   if (!head) throw CiError("PR head vanished");
 
   // The push to the GitLab mirror crosses a network boundary, so it runs
-  // behind the "ci.mirror" fault site with a short retry; exhausted
+  // behind the "ci.mirror" fault site and its retry gate; exhausted
   // transients surface as a failed hubcast/mirror check, not an
   // exception, so the bridge keeps processing other PRs.
   const std::string mirror_key = canonical_ + "#" + std::to_string(pr_id);
-  for (int attempt = 1;; ++attempt) {
-    try {
-      support::fault_hit("ci.mirror", mirror_key,
-                         static_cast<std::uint64_t>(attempt));
-      break;
-    } catch (const TransientError& e) {
-      if (attempt >= 3) {
-        StatusCheck failed;
-        failed.name = "hubcast/mirror";
-        failed.state = CheckState::failure;
-        failed.description = std::string("mirror push failed after ") +
-                             std::to_string(attempt) + " attempts: " + e.what();
-        github_->set_status(pr_id, failed);
-        span.annotate("outcome", "push-failed");
-        return std::nullopt;
-      }
-    }
+  try {
+    support::retry_transient(
+        [&](int attempt) {
+          support::fault_hit("ci.mirror", mirror_key,
+                             static_cast<std::uint64_t>(attempt));
+        },
+        [](int, const TransientError&) {});
+  } catch (const TransientError& e) {
+    StatusCheck failed;
+    failed.name = "hubcast/mirror";
+    failed.state = CheckState::failure;
+    failed.description = std::string("mirror push failed after ") +
+                         std::to_string(support::kRetryAttempts) +
+                         " attempts: " + e.what();
+    github_->set_status(pr_id, failed);
+    span.annotate("outcome", "push-failed");
+    return std::nullopt;
   }
   span.annotate("outcome", "mirrored");
 

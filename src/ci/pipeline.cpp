@@ -92,13 +92,11 @@ PipelineResult PipelineEngine::run(const PipelineDef& def,
   std::vector<RunnerDef> runners;
   std::map<std::string, JobAction> actions;
   JobAction default_action;
-  int max_job_retries;
   {
     std::lock_guard<std::mutex> lock(mu_);
     runners = runners_;
     actions = actions_;
     default_action = default_action_;
-    max_job_retries = max_job_retries_;
   }
 
   PipelineResult result;
@@ -170,31 +168,29 @@ PipelineResult PipelineEngine::run(const PipelineDef& def,
       }
       // Every job passes through the "ci.job" fault site (keyed by job
       // name). Transient failures — injected or thrown by the action —
-      // are retried up to max_job_retries_ times; a job that needed a
-      // retry degrades the pipeline instead of failing it.
+      // are retried through support::retry_transient; a job that needed
+      // a retry degrades the pipeline instead of failing it. Any other
+      // exception fails the job immediately.
       JobOutcome outcome;
-      const int max_attempts = 1 + std::max(0, max_job_retries);
-      for (int attempt = 1;; ++attempt) {
-        record.attempts = attempt;
-        try {
-          support::fault_hit("ci.job", job->name,
-                             static_cast<std::uint64_t>(attempt));
-          outcome = action ? (*action)(context) : JobOutcome{};
-          break;
-        } catch (const TransientError& e) {
-          if (attempt >= max_attempts) {
-            outcome.success = false;
-            outcome.log = "job failed after " + std::to_string(attempt) +
-                          " attempts: " + e.what();
-            break;
-          }
-          script_log += "[retry] attempt " + std::to_string(attempt) +
-                        " failed (" + e.what() + ")\n";
-        } catch (const std::exception& e) {
-          outcome.success = false;
-          outcome.log = std::string("job raised: ") + e.what();
-          break;
-        }
+      try {
+        outcome = support::retry_transient(
+            [&](int attempt) {
+              record.attempts = attempt;
+              support::fault_hit("ci.job", job->name,
+                                 static_cast<std::uint64_t>(attempt));
+              return action ? (*action)(context) : JobOutcome{};
+            },
+            [&](int attempt, const TransientError& e) {
+              script_log += "[retry] attempt " + std::to_string(attempt) +
+                            " failed (" + e.what() + ")\n";
+            });
+      } catch (const TransientError& e) {
+        outcome.success = false;
+        outcome.log = "job failed after " + std::to_string(record.attempts) +
+                      " attempts: " + e.what();
+      } catch (const std::exception& e) {
+        outcome.success = false;
+        outcome.log = std::string("job raised: ") + e.what();
       }
       record.log = script_log + outcome.log;
       record.status = outcome.success ? JobStatus::success : JobStatus::failed;

@@ -125,24 +125,11 @@ public:
     return runners_;
   }
 
-  /// Retries per job after a first transient failure (TransientError from
-  /// the action or the "ci.job" fault site). Other exceptions still fail
-  /// the job immediately.
-  void set_max_job_retries(int retries) {
-    std::lock_guard<std::mutex> lock(mu_);
-    max_job_retries_ = retries;
-  }
-  [[nodiscard]] int max_job_retries() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return max_job_retries_;
-  }
-
 private:
   mutable std::mutex mu_;
   std::vector<RunnerDef> runners_;
   std::map<std::string, JobAction> actions_;
   JobAction default_action_;
-  int max_job_retries_ = 2;
 };
 
 }  // namespace benchpark::ci

@@ -72,47 +72,45 @@ spec::Spec Concretizer::resolve_root(const Spec& root, Context& ctx,
                                      BatchCounters& batch) const {
   auto& collector = obs::TraceCollector::global();
   auto& cache = ConcretizationCache::global();
-  constexpr int kMaxAttempts = 3;
-  for (int attempt = 1;; ++attempt) {
-    try {
-      // Chaos hook: a transient fault here models a poisoned cache line /
-      // flaky resolver — the entry is invalidated and resolution retried;
-      // a permanent fault propagates to the caller.
-      double latency = support::fault_hit(
-          "concretizer.resolve",
-          cache_key.empty() ? root.name() : cache_key,
-          static_cast<std::uint64_t>(attempt));
-      if (latency > 0) {
-        collector.emit_span("concretizer.fault_latency", "concretizer",
-                            latency, {{"root", root.name()}});
-      }
+  // Chaos hook: a transient fault here models a poisoned cache line /
+  // flaky resolver — the entry is invalidated and resolution retried;
+  // a permanent fault propagates to the caller.
+  return support::retry_transient(
+      [&](int attempt) -> Spec {
+        double latency = support::fault_hit(
+            "concretizer.resolve",
+            cache_key.empty() ? root.name() : cache_key,
+            static_cast<std::uint64_t>(attempt));
+        if (latency > 0) {
+          collector.emit_span("concretizer.fault_latency", "concretizer",
+                              latency, {{"root", root.name()}});
+        }
 
-      obs::ScopedSpan span(collector, "resolve:" + root.name(),
-                           "concretizer");
-      if (cache_key.empty()) {
-        std::vector<std::string> stack;
-        return resolve(root, ctx, stack);
-      }
-      // Single-flight: concurrent misses of one key wait for the first
-      // resolver and count as hits. resolve() runs on this thread and
-      // never waits on pool work, so a pool worker blocked as a waiter
-      // cannot starve it.
-      bool resolved_here = false;
-      auto cached = cache.get_or_insert(cache_key, [&] {
-        resolved_here = true;
-        std::vector<std::string> stack;
-        return std::make_shared<const Spec>(resolve(root, ctx, stack));
+        obs::ScopedSpan span(collector, "resolve:" + root.name(),
+                             "concretizer");
+        if (cache_key.empty()) {
+          std::vector<std::string> stack;
+          return resolve(root, ctx, stack);
+        }
+        // Single-flight: concurrent misses of one key wait for the first
+        // resolver and count as hits. resolve() runs on this thread and
+        // never waits on pool work, so a pool worker blocked as a waiter
+        // cannot starve it.
+        bool miss = false;
+        auto cached = cache.get_or_insert(cache_key, [&] {
+          miss = true;
+          std::vector<std::string> stack;
+          return std::make_shared<const Spec>(resolve(root, ctx, stack));
+        });
+        (miss ? batch.misses : batch.hits)
+            .fetch_add(1, std::memory_order_relaxed);
+        if (span.active()) span.annotate("cache", miss ? "miss" : "hit");
+        if (!miss && merge_hits) merge_closure(*cached, ctx.resolved_);
+        return *cached;
+      },
+      [&](int, const TransientError&) {
+        if (!cache_key.empty()) cache.invalidate(cache_key);
       });
-      (resolved_here ? batch.misses : batch.hits)
-          .fetch_add(1, std::memory_order_relaxed);
-      if (span.active()) span.annotate("cache", resolved_here ? "miss" : "hit");
-      if (!resolved_here && merge_hits) merge_closure(*cached, ctx.resolved_);
-      return *cached;
-    } catch (const TransientError&) {
-      if (attempt >= kMaxAttempts) throw;
-      if (!cache_key.empty()) cache.invalidate(cache_key);
-    }
-  }
 }
 
 void Concretizer::static_closure(

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <unordered_map>
 
 #include "src/archspec/microarch.hpp"
@@ -11,7 +10,6 @@
 #include "src/support/fault.hpp"
 #include "src/support/hash.hpp"
 #include "src/support/parallel.hpp"
-#include "src/support/rng.hpp"
 #include "src/support/string_util.hpp"
 
 namespace benchpark::install {
@@ -107,19 +105,6 @@ struct FlightGuard {
     cv.notify_all();
   }
 };
-
-/// Modeled wait before retry `attempt` (1-based): exponential backoff
-/// with deterministic jitter keyed on (seed, hash, attempt) so the same
-/// plan produces the same report bytes run after run.
-double retry_backoff_seconds(const InstallOptions& options,
-                             std::string_view hash, int attempt) {
-  double base = std::max(0.0, options.backoff_base_seconds) *
-                std::pow(2.0, attempt - 1);
-  support::Rng rng(options.retry_seed ^ support::fnv1a(hash) ^
-                   (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(attempt)));
-  return base * (1.0 + std::max(0.0, options.backoff_jitter) *
-                           rng.next_double());
-}
 
 }  // namespace
 
@@ -428,7 +413,7 @@ InstallRecord Installer::install_one(const spec::Spec& concrete,
 
   record.prefix = tree_->prefix_for(concrete);
 
-  if (options.use_cache && cache_) {
+  if (cache_) {
     try {
       if (auto entry = cache_->fetch(concrete)) {
         record.source = InstallSource::binary_cache;
@@ -480,26 +465,25 @@ InstallRecord Installer::install_one(const spec::Spec& concrete,
   // The build step itself, behind the fault gate: transient failures are
   // retried with exponential backoff (modeled, deterministic); a
   // permanent fault or exhausted retries fails the package.
-  const int max_attempts = 1 + std::max(0, options.max_retries);
   double injected_latency = 0.0;
-  for (int attempt = 1;; ++attempt) {
-    record.attempts = attempt;
-    try {
-      injected_latency = support::fault_hit(
-          "install.build_step", hash, static_cast<std::uint64_t>(attempt));
-      break;
-    } catch (const TransientError& e) {
-      if (attempt >= max_attempts) {
-        throw PermanentError("build of '" + concrete.short_str() +
-                             "' failed after " + std::to_string(attempt) +
-                             " attempts: " + e.what());
-      }
-      double wait = retry_backoff_seconds(options, hash, attempt);
-      record.retry_wait_seconds += wait;
-      log += "[r] " + concrete.short_str() + " build attempt " +
-             std::to_string(attempt) + " failed (" + e.what() +
-             "); retrying in " + support::format_double(wait, 3) + "s\n";
-    }
+  try {
+    injected_latency = support::retry_transient(
+        [&](int attempt) {
+          record.attempts = attempt;
+          return support::fault_hit("install.build_step", hash,
+                                    static_cast<std::uint64_t>(attempt));
+        },
+        [&](int attempt, const TransientError& e) {
+          const double wait = support::retry_backoff_seconds(hash, attempt);
+          record.retry_wait_seconds += wait;
+          log += "[r] " + concrete.short_str() + " build attempt " +
+                 std::to_string(attempt) + " failed (" + e.what() +
+                 "); retrying in " + support::format_double(wait, 3) + "s\n";
+        });
+  } catch (const TransientError& e) {
+    throw PermanentError("build of '" + concrete.short_str() +
+                         "' failed after " + std::to_string(record.attempts) +
+                         " attempts: " + e.what());
   }
   record.simulated_seconds =
       step_seconds + record.retry_wait_seconds + injected_latency;
@@ -513,7 +497,7 @@ InstallRecord Installer::install_one(const spec::Spec& concrete,
       const bool final_attempt = a == record.attempts;
       double modeled = final_attempt
                            ? step_seconds + injected_latency
-                           : retry_backoff_seconds(options, hash, a);
+                           : support::retry_backoff_seconds(hash, a);
       collector.emit_span("attempt", "install", modeled,
                           {{"package", concrete.name()},
                            {"attempt", std::to_string(a)},
@@ -534,7 +518,7 @@ InstallRecord Installer::install_one(const spec::Spec& concrete,
   tree_->add(record);
   announce();
 
-  if (options.push_to_cache && cache_) {
+  if (cache_) {
     try {
       cache_->push(concrete, simulated_artifact_size(concrete));
     } catch (const Error& e) {

@@ -16,17 +16,16 @@
 // distinct roots race on a shared dependency.
 //
 // Failure handling: every build step passes through the
-// "install.build_step" fault site and is retried per package with
-// exponential backoff and deterministic jitter (InstallOptions
-// max_retries / backoff_base_seconds / backoff_jitter); cache fetches
-// that keep failing fall back to source builds; cache pushes are
-// best-effort. A package that exhausts its retries throws PermanentError,
-// its in-flight claim is released (so a concurrent worker may try again
-// rather than deadlock), its dependents are skipped, and the install
-// reports the aggregate failure. For concurrent multi-root installs a
-// Coordination object deterministically elects one root as the builder of
-// every shared hash, which is what makes same-seed install reports
-// byte-identical run to run.
+// "install.build_step" fault site and is retried per package through
+// support::retry_transient (the shared attempt budget and deterministic
+// backoff); cache fetches that keep failing fall back to source builds;
+// cache pushes are best-effort. A package that exhausts its retries
+// throws PermanentError, its in-flight claim is released (so a
+// concurrent worker may try again rather than deadlock), its dependents
+// are skipped, and the install reports the aggregate failure. For
+// concurrent multi-root installs a Coordination object deterministically
+// elects one root as the builder of every shared hash, which is what
+// makes same-seed install reports byte-identical run to run.
 #pragma once
 
 #include <condition_variable>
@@ -127,27 +126,10 @@ private:
 struct InstallOptions {
   /// Make-level parallelism for source builds ("make -jN").
   int build_jobs = 8;
-  /// Consult/populate the binary cache.
-  bool use_cache = true;
-  /// Push successful source builds back to the cache (the paper's rolling
-  /// binary cache model).
-  bool push_to_cache = true;
   /// DAG-level engine parallelism: how many independent nodes of one
   /// wavefront build/fetch concurrently. 0 means
   /// support::ThreadPool::default_threads() (BENCHPARK_NUM_THREADS).
   int engine_threads = 0;
-  /// Per-package retries after the first failed build attempt. Transient
-  /// failures (TransientError, e.g. injected via BENCHPARK_FAULT_PLAN)
-  /// are retried; anything else fails the package immediately.
-  int max_retries = 2;
-  /// First backoff wait in modeled seconds; attempt k waits
-  /// backoff_base_seconds * 2^(k-1), plus jitter.
-  double backoff_base_seconds = 0.25;
-  /// Uniform jitter fraction added to each wait (deterministic under
-  /// retry_seed, keyed by package hash and attempt).
-  double backoff_jitter = 0.25;
-  /// Seed for the backoff jitter.
-  std::uint64_t retry_seed = 0xb5eedULL;
 };
 
 class Installer {
@@ -205,7 +187,7 @@ private:
 
   pkg::RepoStack repos_;
   InstallTree* tree_;                  // not owned
-  buildcache::BinaryCache* cache_;     // not owned, may be null
+  buildcache::BinaryCache* cache_;     // not owned; null = no cache
 
   // In-flight claims: exactly one worker builds a given DAG hash; later
   // arrivals (concurrent roots sharing a dependency) wait, then record it

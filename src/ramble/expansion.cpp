@@ -464,10 +464,8 @@ std::string expand_uncached(std::string_view text, const VariableMap& vars) {
   return out;
 }
 
-long long expand_int(std::string_view text, const VariableMap& vars,
-                     bool use_cache) {
-  auto expanded =
-      use_cache ? expand(text, vars) : expand_uncached(text, vars);
+long long expand_int(std::string_view text, const VariableMap& vars) {
+  auto expanded = expand(text, vars);
   try {
     return support::parse_int(expanded);
   } catch (const Error&) {

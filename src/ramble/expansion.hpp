@@ -160,10 +160,8 @@ std::string expand(std::string_view text, const VariableMap& vars);
 /// cache (neither for `text` nor for variable values).
 std::string expand_uncached(std::string_view text, const VariableMap& vars);
 
-/// Expand and parse as integer (for n_ranks etc.). `use_cache` gates the
-/// template cache exactly like expand()/expand_uncached().
-long long expand_int(std::string_view text, const VariableMap& vars,
-                     bool use_cache = true);
+/// expand(), then parse as integer (for n_ranks etc.).
+long long expand_int(std::string_view text, const VariableMap& vars);
 
 /// Evaluate a purely arithmetic expression ("8 * 2"); throws
 /// ExperimentError when malformed. Exposed for tests.

@@ -502,20 +502,18 @@ RunReport Workspace::run_all(const RunRequest& request) {
       size_var = exp.variables.find("nx");
     }
     if (size_var != exp.variables.end()) {
-      params.n = static_cast<std::uint64_t>(expand_int(
-          size_var->second, exp.variables, request.use_cache));
+      params.n = static_cast<std::uint64_t>(
+          expand_int(size_var->second, exp.variables));
     }
     params.n_nodes = batch.nodes;
     params.n_ranks = batch.ranks;
-    params.n_threads = static_cast<int>(expand_int(
-        exp.variables.at("n_threads"), exp.variables, request.use_cache));
+    params.n_threads = static_cast<int>(
+        expand_int(exp.variables.at("n_threads"), exp.variables));
     params.use_gpu = exp.use_gpu;
     // The job environment (workload env_vars + modifier injections),
     // expanded against the experiment's variables.
     for (const auto& [k, v] : exp.env_vars) {
-      params.env[k] = request.use_cache
-                          ? expand(v, exp.variables)
-                          : expand_uncached(v, exp.variables);
+      params.env[k] = expand(v, exp.variables);
     }
 
     const auto& system = system_;
@@ -527,7 +525,7 @@ RunReport Workspace::run_all(const RunRequest& request) {
                        ? runtime::run_native(params)
                        : runtime::run_simulated(system, params);
           },
-          exp.name, request.retry);
+          exp.name);
       r.attempts = exec.attempts;
       r.retry_wait_seconds = exec.retry_wait_seconds;
       r.success = exec.outcome.success;

@@ -27,7 +27,6 @@
 #include "src/pkg/repo.hpp"
 #include "src/ramble/application.hpp"
 #include "src/ramble/experiment.hpp"
-#include "src/runtime/simexec.hpp"
 #include "src/sched/scheduler.hpp"
 #include "src/store/store.hpp"
 #include "src/support/table.hpp"
@@ -113,12 +112,6 @@ struct ExperimentResult {
 struct RunRequest {
   /// Fan-out width: 0 = ThreadPool::default_threads(), 1 = serial.
   int threads = 0;
-  /// Consult the process-wide TemplateCache for every expansion; false
-  /// compiles each template on the fly (the cold path benchmarks
-  /// measure the difference).
-  bool use_cache = true;
-  /// Retry/backoff for the "experiment.exec" fault site.
-  runtime::ExecRetryOptions retry;
   /// Persistent result store consulted before executing each experiment
   /// (and written after). Overrides the workspace-level store for this
   /// run; null falls back to Workspace::set_store's handle, then to

@@ -478,6 +478,24 @@ void append_annotations(const SystemDescription& system,
 
 namespace {
 
+/// A failed outcome carrying a fault's message, the way a scheduler
+/// reports a crashed binary.
+RunOutcome failed_outcome(int exit_code, const Error& e) {
+  RunOutcome outcome;
+  outcome.exit_code = exit_code;
+  outcome.output = std::string(e.what()) + "\n";
+  return outcome;
+}
+
+/// A run that reported EX_TEMPFAIL, thrown so the retry gate treats it
+/// like an injected transient fault; carries the outcome to report if
+/// the budget runs out.
+struct TempfailOutcome : TransientError {
+  explicit TempfailOutcome(RunOutcome o)
+      : TransientError(o.output), outcome(std::move(o)) {}
+  RunOutcome outcome;
+};
+
 RunOutcome run_simulated_impl(const SystemDescription& system,
                               const RunParams& raw_params) {
   RunParams params = normalized(raw_params);
@@ -493,17 +511,9 @@ RunOutcome run_simulated_impl(const SystemDescription& system,
     injected_latency =
         support::fault_hit("runtime.exec", params.app, params.repetition + 1);
   } catch (const TransientError& e) {
-    RunOutcome outcome;
-    outcome.success = false;
-    outcome.exit_code = 75;
-    outcome.output = std::string(e.what()) + "\n";
-    return outcome;
+    return failed_outcome(75, e);
   } catch (const PermanentError& e) {
-    RunOutcome outcome;
-    outcome.success = false;
-    outcome.exit_code = 70;
-    outcome.output = std::string(e.what()) + "\n";
-    return outcome;
+    return failed_outcome(70, e);
   }
 
   if (params.uses_math_library && !system.disabled_features.empty()) {
@@ -548,61 +558,36 @@ RunOutcome run_simulated_impl(const SystemDescription& system,
 
 }  // namespace
 
-namespace {
-
-/// Modeled wait before retry `attempt` (1-based): exponential backoff
-/// with deterministic jitter keyed on (seed, key, attempt) — the same
-/// scheme the installer uses, so chaos runs reproduce identical waits.
-double exec_backoff_seconds(const ExecRetryOptions& options,
-                            std::string_view key, int attempt) {
-  double base = std::max(0.0, options.backoff_base_seconds) *
-                std::pow(2.0, attempt - 1);
-  support::Rng rng(options.retry_seed ^ support::fnv1a(key) ^
-                   (0x9e3779b97f4a7c15ULL *
-                    static_cast<std::uint64_t>(attempt)));
-  return base * (1.0 + std::max(0.0, options.backoff_jitter) *
-                           rng.next_double());
-}
-
-}  // namespace
-
 ExecResult run_with_retry(const std::function<RunOutcome()>& run_once,
-                          const std::string& key,
-                          const ExecRetryOptions& options) {
-  const int max_attempts = 1 + std::max(0, options.max_retries);
+                          const std::string& key) {
   ExecResult result;
-  for (int attempt = 1;; ++attempt) {
-    result.attempts = attempt;
-    double injected_latency = 0.0;
-    try {
-      injected_latency = support::fault_hit("experiment.exec", key, attempt);
-    } catch (const TransientError& e) {
-      if (attempt >= max_attempts) {
-        result.outcome.success = false;
-        result.outcome.exit_code = 75;  // EX_TEMPFAIL: retries exhausted
-        result.outcome.output = std::string(e.what()) + "\n";
-        return result;
-      }
-      result.retry_wait_seconds += exec_backoff_seconds(options, key, attempt);
-      continue;
-    } catch (const PermanentError& e) {
-      result.outcome.success = false;
-      result.outcome.exit_code = 70;  // EX_SOFTWARE: not worth retrying
-      result.outcome.output = std::string(e.what()) + "\n";
-      return result;
-    }
-    RunOutcome outcome = run_once();
-    outcome.elapsed_seconds += injected_latency;
-    if (!outcome.success && outcome.exit_code == 75 &&
-        attempt < max_attempts) {
-      // The run itself reported a transient failure (e.g. the
-      // "runtime.exec" fault site) — retry it like a flaky node.
-      result.retry_wait_seconds += exec_backoff_seconds(options, key, attempt);
-      continue;
-    }
-    result.outcome = std::move(outcome);
-    return result;
+  try {
+    result.outcome = support::retry_transient(
+        [&](int attempt) {
+          result.attempts = attempt;
+          const double injected_latency = support::fault_hit(
+              "experiment.exec", key, static_cast<std::uint64_t>(attempt));
+          RunOutcome outcome = run_once();
+          outcome.elapsed_seconds += injected_latency;
+          // The run itself reported a transient failure (e.g. the
+          // "runtime.exec" fault site) — retry it like a flaky node.
+          if (!outcome.success && outcome.exit_code == 75) {
+            throw TempfailOutcome(std::move(outcome));
+          }
+          return outcome;
+        },
+        [&](int attempt, const TransientError&) {
+          result.retry_wait_seconds +=
+              support::retry_backoff_seconds(key, attempt);
+        });
+  } catch (TempfailOutcome& e) {
+    result.outcome = std::move(e.outcome);
+  } catch (const TransientError& e) {
+    result.outcome = failed_outcome(75, e);  // EX_TEMPFAIL: retries exhausted
+  } catch (const PermanentError& e) {
+    result.outcome = failed_outcome(70, e);  // EX_SOFTWARE: not worth retrying
   }
+  return result;
 }
 
 RunOutcome run_simulated(const SystemDescription& system,

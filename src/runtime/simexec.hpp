@@ -50,19 +50,6 @@ struct RunOutcome {
   std::string output;           // what the job printed
 };
 
-/// Retry knobs for the "experiment.exec" fault site (same backoff
-/// contract as install::InstallOptions: attempt k waits
-/// backoff_base_seconds * 2^(k-1) plus deterministic jitter keyed on
-/// (retry_seed, key, attempt), so parallel and serial runs report the
-/// same waits byte for byte).
-struct ExecRetryOptions {
-  /// Transient failures retried this many times (attempts = 1 + retries).
-  int max_retries = 2;
-  double backoff_base_seconds = 0.25;
-  double backoff_jitter = 0.25;
-  std::uint64_t retry_seed = 0xb5eedULL;
-};
-
 /// What one retried execution produced.
 struct ExecResult {
   RunOutcome outcome;
@@ -72,16 +59,16 @@ struct ExecResult {
 };
 
 /// Run `run_once` through the "experiment.exec" fault site keyed by
-/// `key` (the experiment name) with retry/backoff. Transient injected
-/// faults and transient run outcomes (exit 75, EX_TEMPFAIL) are retried
-/// up to the attempt budget, then surface as the final failed outcome;
-/// permanent faults fail immediately with exit 70. Injected latency is
-/// added to the outcome's modeled elapsed time. Every decision is a pure
-/// function of (plan seed, key, attempt), so results are identical no
-/// matter how many experiments run concurrently.
+/// `key` (the experiment name) behind support::retry_transient.
+/// Transient failures (injected, thrown by `run_once`, or a run exiting
+/// 75, EX_TEMPFAIL) are retried with support::retry_backoff_seconds
+/// waits, then surface as the final failed outcome; a PermanentError
+/// ends the run with exit 70. Injected latency is added to the outcome's
+/// modeled elapsed time. Every decision is a pure function of (plan
+/// seed, key, attempt), so results are identical no matter how many
+/// experiments run concurrently.
 ExecResult run_with_retry(const std::function<RunOutcome()>& run_once,
-                          const std::string& key,
-                          const ExecRetryOptions& options = {});
+                          const std::string& key);
 
 /// Fill derived defaults (uses_math_library by app name) and validate.
 RunParams normalized(RunParams params);

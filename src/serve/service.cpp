@@ -116,7 +116,7 @@ BenchService::BenchService(ServiceConfig config)
       out.success = !report.results.empty() &&
                     out.succeeded == out.experiments;
       if (!out.success) out.detail = "campaign had failing experiments";
-      if (ctx.store && config_.detect_regressions) {
+      if (ctx.store) {
         // Post-campaign watchdog: scan the tenant's FOM history (which
         // run_workflow just extended) for unresolved regressions.
         try {
@@ -207,7 +207,6 @@ TicketId BenchService::submit(const CampaignRequest& request) {
   validate_request(request);
 
   TicketId id = 0;
-  bool durable = config_.durable_submits && journal_ != nullptr;
   {
     std::lock_guard lock(mu_);
     ++counts_.submitted;
@@ -257,7 +256,7 @@ TicketId BenchService::submit(const CampaignRequest& request) {
                           static_cast<double>(queue_.depth()));
     }
   }
-  if (durable) journal_->flush();
+  if (journal_) journal_->flush();  // durable ticket before returning
   work_cv_.notify_all();
   if (span.active()) span.annotate("ticket", std::to_string(id));
   return id;
@@ -287,35 +286,34 @@ BenchService::RunResult BenchService::execute_campaign(
   std::string fault_key = "t" + std::to_string(id);
   auto start = std::chrono::steady_clock::now();
   int attempt = 1;
-  for (;;) {
-    try {
-      double injected = support::fault_hit("serve.dispatch", fault_key,
-                                           static_cast<std::uint64_t>(
-                                               attempt));
-      if (injected > 0 && collector.enabled()) {
-        collector.emit_span("serve.dispatch.fault", "serve", injected,
-                            {{"ticket", fault_key}});
-      }
-    } catch (const TransientError& e) {
-      collector.counter_add("serve.dispatch.faults");
-      if (attempt <= config_.max_dispatch_retries) {
-        ++attempt;
-        continue;
-      }
-      result.state = TicketState::interrupted;
-      result.attempts = attempt;
-      result.error = std::string("dispatch retries exhausted: ") + e.what();
-      return result;
-    } catch (const PermanentError& e) {
-      // A permanent dispatch fault models the execution node dying with
-      // the campaign on it: park the ticket; restart replays it.
-      collector.counter_add("serve.dispatch.faults");
-      result.state = TicketState::interrupted;
-      result.attempts = attempt;
-      result.error = std::string("dispatch worker killed: ") + e.what();
-      return result;
-    }
-    break;
+  try {
+    support::retry_transient(
+        [&](int a) {
+          attempt = a;
+          double injected = support::fault_hit(
+              "serve.dispatch", fault_key, static_cast<std::uint64_t>(a));
+          if (injected > 0 && collector.enabled()) {
+            collector.emit_span("serve.dispatch.fault", "serve", injected,
+                                {{"ticket", fault_key}});
+          }
+        },
+        [&](int, const TransientError&) {
+          collector.counter_add("serve.dispatch.faults");
+        });
+  } catch (const TransientError& e) {
+    collector.counter_add("serve.dispatch.faults");
+    result.state = TicketState::interrupted;
+    result.attempts = attempt;
+    result.error = std::string("dispatch retries exhausted: ") + e.what();
+    return result;
+  } catch (const PermanentError& e) {
+    // A permanent dispatch fault models the execution node dying with
+    // the campaign on it: park the ticket; restart replays it.
+    collector.counter_add("serve.dispatch.faults");
+    result.state = TicketState::interrupted;
+    result.attempts = attempt;
+    result.error = std::string("dispatch worker killed: ") + e.what();
+    return result;
   }
   CampaignContext ctx;
   ctx.ticket = id;

@@ -153,19 +153,11 @@ struct ServiceConfig {
   /// Construct with dispatch paused; resume() starts it. Tests and
   /// benches use this to build deterministic queue states.
   bool start_paused = false;
-  /// fsync the journal on every submit (durable tickets). Off trades
-  /// crash-durability of not-yet-dispatched tickets for admission
-  /// throughput; terminal states always flush.
-  bool durable_submits = true;
-  /// Transient "serve.dispatch" fault retries before a ticket is parked
-  /// as interrupted (replayed on restart).
-  int max_dispatch_retries = 2;
   /// Run-engine knobs forwarded to the default Driver runner (the store
   /// field is overridden per tenant).
   ramble::RunRequest run;
   /// Post-campaign regression detection over the tenant's FOM history
   /// (default runner, tenants with a store only).
-  bool detect_regressions = true;
   analysis::DetectorConfig detector;
   /// Override the campaign executor (empty = Driver::run_workflow).
   CampaignRunner runner;

@@ -1,5 +1,6 @@
 #include "src/support/fault.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -268,6 +269,13 @@ std::uint64_t FaultPlan::total_failures() const {
 double fault_hit(std::string_view site, std::string_view key,
                  std::uint64_t attempt) {
   return FaultPlan::global().on_hit(site, key, attempt);
+}
+
+double retry_backoff_seconds(std::string_view key, int attempt) {
+  const double base = 0.25 * std::pow(2.0, attempt - 1);
+  Rng rng(0xb5eedULL ^ fnv1a(key) ^
+          (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(attempt)));
+  return base * (1.0 + 0.25 * rng.next_double());
 }
 
 }  // namespace benchpark::support

@@ -4,11 +4,13 @@
 // treat partial failure as the common case: mirrors blip, build steps
 // flake, jobs get preempted. This module lets tests and chaos runs
 // *program* those failures so every retry path in the codebase can be
-// exercised reproducibly. Hot paths declare named fault sites
-// ("buildcache.fetch", "install.build_step", "ci.job", "ci.mirror",
-// "sched.job", "runtime.exec") and report each attempt to the process-wide
-// FaultPlan; the plan decides — purely as a function of (seed, site, key,
-// attempt) — whether that attempt fails, and with what severity.
+// exercised reproducibly. Hot paths declare named fault sites (the 13 of
+// DESIGN.md §8, e.g. "buildcache.fetch", "install.build_step", "ci.job",
+// "experiment.exec", "serve.dispatch", "store.flush") and report each
+// attempt to the process-wide FaultPlan; the plan decides — purely as a
+// function of (seed, site, key, attempt) — whether that attempt fails,
+// and with what severity. Sites that retry all go through
+// retry_transient(): one budget, one backoff, one retried error type.
 //
 // Keying decisions on the operation's stable key (a DAG hash, a job name)
 // and its attempt number, rather than on a global hit counter, is what
@@ -39,6 +41,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "src/support/error.hpp"
 
 namespace benchpark::support {
 
@@ -132,6 +136,35 @@ private:
 /// fault sites call.
 double fault_hit(std::string_view site, std::string_view key = {},
                  std::uint64_t attempt = 1);
+
+/// Attempts every retrying fault site gets: the first try plus two
+/// retries.
+inline constexpr int kRetryAttempts = 3;
+
+/// Modeled wait before retry `attempt` (1-based) of the operation `key`:
+/// 0.25 s * 2^(attempt-1), plus up to 25% jitter drawn from
+/// Rng(0xb5eed ^ fnv1a(key) ^ 0x9e3779b97f4a7c15 * attempt). A pure
+/// function of (key, attempt), so serial and parallel runs report the
+/// same waits byte for byte.
+[[nodiscard]] double retry_backoff_seconds(std::string_view key,
+                                           int attempt);
+
+/// The retry gate. Runs body(attempt) for attempt = 1, 2, ... and returns
+/// its result. A TransientError is retried — on_retry(attempt, error)
+/// runs after each failed attempt that gets another — until
+/// kRetryAttempts attempts have failed; the last one is rethrown. Any
+/// other exception (PermanentError included) passes straight through.
+template <class Body, class OnRetry>
+auto retry_transient(Body&& body, OnRetry&& on_retry) {
+  for (int attempt = 1;; ++attempt) {
+    try {
+      return body(attempt);
+    } catch (const TransientError& e) {
+      if (attempt >= kRetryAttempts) throw;
+      on_retry(attempt, e);
+    }
+  }
+}
 
 /// RAII save/restore of the global plan for tests: snapshot on
 /// construction, restore on destruction, so a test can clear() and

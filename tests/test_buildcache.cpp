@@ -199,7 +199,7 @@ TEST(BuildCache, ExhaustedFetchRetriesThrowTransient) {
   // The failed request never reached the mirror: no hit, no miss.
   EXPECT_EQ(cache.stats().lookups(), 0u);
   EXPECT_EQ(cache.stats().retries,
-            static_cast<std::size_t>(cache.fetch_retries()));
+            static_cast<std::size_t>(benchpark::support::kRetryAttempts - 1));
 }
 
 // ------------------------------------------------ rolling eviction

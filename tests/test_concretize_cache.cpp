@@ -4,6 +4,7 @@
 // and capacity eviction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -368,6 +369,40 @@ TEST(ConcretizeChaos, ExhaustedRetriesPropagateTransient) {
   request.unify = false;
   request.use_cache = true;
   EXPECT_THROW((void)c.concretize_all(request), benchpark::TransientError);
+}
+
+TEST(ConcretizeChaos, RetryBudgetBoundary) {
+  // One failure short of the budget recovers; a full budget of failures
+  // propagates the last TransientError.
+  for (const int failures :
+       {support::kRetryAttempts - 1, support::kRetryAttempts}) {
+    CacheReset reset;
+    support::ScopedFaultPlan scope;
+    auto& plan = support::FaultPlan::global();
+    plan.clear();
+    support::FaultRule rule;
+    rule.site = "concretizer.resolve";
+    rule.nth = 1;
+    rule.count = static_cast<std::uint64_t>(failures);
+    plan.add_rule(rule);
+
+    cz::Concretizer c(pkg::default_repo_stack(), scope_config());
+    cz::ConcretizeRequest request;
+    request.roots = parse_all({"zlib"});
+    request.unify = false;
+    request.use_cache = true;
+    if (failures < support::kRetryAttempts) {
+      const auto result = c.concretize_all(request);
+      ASSERT_EQ(result.specs.size(), 1u);
+      EXPECT_TRUE(result.specs[0].concrete());
+    } else {
+      EXPECT_THROW((void)c.concretize_all(request),
+                   benchpark::TransientError);
+    }
+    EXPECT_EQ(plan.counters("concretizer.resolve").hits,
+              static_cast<std::uint64_t>(
+                  std::min(failures + 1, support::kRetryAttempts)));
+  }
 }
 
 TEST(ConcretizeChaos, CachedEqualsUncachedUnderChaos) {

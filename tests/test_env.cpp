@@ -465,7 +465,6 @@ TEST(Installer, TransientBuildFailuresAreRetriedWithBackoff) {
   install::InstallTree tree;
   install::Installer installer(pkg::default_repo_stack(), &tree, nullptr);
   install::InstallOptions options;
-  options.max_retries = 2;
   auto report = installer.install(spec, options);
 
   const install::InstallRecord* mpi_record = nullptr;
@@ -480,6 +479,10 @@ TEST(Installer, TransientBuildFailuresAreRetriedWithBackoff) {
   EXPECT_NE(report.build_log.find("[r] "), std::string::npos);
   EXPECT_EQ(report.total_attempts, report.installed.size() + 2);
   EXPECT_DOUBLE_EQ(report.retry_wait_seconds, mpi_record->retry_wait_seconds);
+  // Pinned: the backoff formula and its jitter seed are part of the
+  // reproducibility contract, so these bytes must never drift.
+  EXPECT_DOUBLE_EQ(mpi_record->retry_wait_seconds, 0.81748213164616856);
+  EXPECT_DOUBLE_EQ(report.total_simulated_seconds, 165.50498213164616);
 }
 
 TEST(Installer, ExhaustedRetriesFailLoudlyAndReleaseClaims) {
@@ -502,7 +505,6 @@ TEST(Installer, ExhaustedRetriesFailLoudlyAndReleaseClaims) {
   install::InstallTree tree;
   install::Installer installer(pkg::default_repo_stack(), &tree, nullptr);
   install::InstallOptions options;
-  options.max_retries = 2;
   EXPECT_THROW(installer.install(spec, options), benchpark::PermanentError);
   EXPECT_FALSE(tree.installed(*mpi));
   EXPECT_FALSE(tree.installed(spec));
@@ -604,7 +606,6 @@ TEST(Environment, SameSeedChaosInstallsAreByteIdentical) {
     install::Installer installer(pkg::default_repo_stack(), &tree, &cache);
     install::InstallOptions options;
     options.engine_threads = 4;
-    options.max_retries = 3;
     auto report = e.install_all(installer, options);
     EXPECT_EQ(tree.size(), cache.stats().pushes + report.externals);
     return report;

@@ -1,6 +1,7 @@
 // Fault-injection unit tests: plan grammar, nth/count windows, seeded
 // probability determinism, severity kinds, latency rules, per-site
-// counters, and the global-plan programmability that chaos CI relies on.
+// counters, the global-plan programmability that chaos CI relies on, and
+// the retry gate every retrying fault site goes through.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,9 @@ using benchpark::support::FaultPlan;
 using benchpark::support::FaultRule;
 using benchpark::support::ScopedFaultPlan;
 using benchpark::support::fault_hit;
+using benchpark::support::kRetryAttempts;
+using benchpark::support::retry_backoff_seconds;
+using benchpark::support::retry_transient;
 
 TEST(FaultPlan, EmptyPlanIsFreeAndNeverFires) {
   FaultPlan plan;
@@ -143,4 +147,93 @@ TEST(FaultPlan, GlobalPlanIsProgrammableAndScopedRestoreWorks) {
     FaultPlan::global().clear();
     EXPECT_DOUBLE_EQ(fault_hit("runtime.exec", "saxpy", 1), 0.0);
   }
+}
+
+// ------------------------------------------------------------ retry gate
+
+TEST(RetryGate, FirstAttemptSuccessPassesResultThrough) {
+  int calls = 0;
+  int retries = 0;
+  auto result = retry_transient(
+      [&](int attempt) {
+        ++calls;
+        return std::string("attempt ") + std::to_string(attempt);
+      },
+      [&](int, const TransientError&) { ++retries; });
+  EXPECT_EQ(result, "attempt 1");
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(retries, 0);
+}
+
+TEST(RetryGate, TransientFailuresAreRetriedUntilSuccess) {
+  std::vector<int> attempts;
+  std::vector<std::string> retried;
+  int result = retry_transient(
+      [&](int attempt) {
+        attempts.push_back(attempt);
+        if (attempt < kRetryAttempts) {
+          throw TransientError("flake " + std::to_string(attempt));
+        }
+        return attempt * 10;
+      },
+      [&](int attempt, const TransientError& e) {
+        retried.push_back(std::to_string(attempt) + ":" + e.what());
+      });
+  EXPECT_EQ(result, kRetryAttempts * 10);
+  EXPECT_EQ(attempts, (std::vector<int>{1, 2, 3}));
+  // on_retry runs after every failed attempt that gets another one.
+  EXPECT_EQ(retried, (std::vector<std::string>{"1:flake 1", "2:flake 2"}));
+}
+
+TEST(RetryGate, LastTransientIsRethrownAfterTheBudget) {
+  int calls = 0;
+  int retries = 0;
+  try {
+    retry_transient(
+        [&](int attempt) {
+          ++calls;
+          throw TransientError("flake " + std::to_string(attempt));
+        },
+        [&](int, const TransientError&) { ++retries; });
+    FAIL() << "the exhausted gate must rethrow";
+  } catch (const TransientError& e) {
+    EXPECT_EQ(std::string(e.what()), "flake 3");
+  }
+  EXPECT_EQ(calls, kRetryAttempts);
+  EXPECT_EQ(retries, kRetryAttempts - 1);
+}
+
+TEST(RetryGate, PermanentAndOtherErrorsAreNeverRetried) {
+  int calls = 0;
+  int retries = 0;
+  auto body = [&](int) {
+    ++calls;
+    throw PermanentError("dead");
+  };
+  auto on_retry = [&](int, const TransientError&) { ++retries; };
+  EXPECT_THROW(retry_transient(body, on_retry), PermanentError);
+  EXPECT_EQ(calls, 1);
+
+  EXPECT_THROW(retry_transient(
+                   [&](int) {
+                     ++calls;
+                     throw Error("not transient");
+                   },
+                   on_retry),
+               Error);
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(retries, 0);
+}
+
+TEST(RetryGate, BackoffIsPinnedAndGrowsExponentially) {
+  // attempt k waits 0.25 * 2^(k-1) plus up to 25% jitter.
+  for (int attempt = 1; attempt <= kRetryAttempts; ++attempt) {
+    const double base = 0.25 * static_cast<double>(1 << (attempt - 1));
+    const double wait = retry_backoff_seconds("pkg", attempt);
+    EXPECT_GE(wait, base);
+    EXPECT_LT(wait, 1.25 * base);
+    EXPECT_DOUBLE_EQ(retry_backoff_seconds("pkg", attempt), wait);
+  }
+  EXPECT_DOUBLE_EQ(retry_backoff_seconds("exp-a", 1), 0.29949456889396459);
+  EXPECT_DOUBLE_EQ(retry_backoff_seconds("exp-b", 1), 0.28591058601923391);
 }

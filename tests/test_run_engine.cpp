@@ -231,6 +231,10 @@ TEST(RunWithRetry, TransientFaultRetriesWithDeterministicBackoff) {
   EXPECT_DOUBLE_EQ(again.retry_wait_seconds, result.retry_wait_seconds);
   auto other = runtime::run_with_retry(run_once, "exp-b");
   EXPECT_NE(other.retry_wait_seconds, result.retry_wait_seconds);
+  // Pinned: the backoff formula and its jitter seed are part of the
+  // reproducibility contract, so these bytes must never drift.
+  EXPECT_DOUBLE_EQ(result.retry_wait_seconds, 0.29949456889396459);
+  EXPECT_DOUBLE_EQ(other.retry_wait_seconds, 0.28591058601923391);
 }
 
 TEST(RunWithRetry, ExhaustedTransientBudgetSurfacesTempfail) {
@@ -251,7 +255,7 @@ TEST(RunWithRetry, ExhaustedTransientBudgetSurfacesTempfail) {
       },
       "doomed");
   EXPECT_EQ(calls, 0);
-  EXPECT_EQ(result.attempts, 3);  // 1 + default max_retries
+  EXPECT_EQ(result.attempts, 3);  // support::kRetryAttempts
   EXPECT_FALSE(result.outcome.success);
   EXPECT_EQ(result.outcome.exit_code, 75);  // EX_TEMPFAIL
 }

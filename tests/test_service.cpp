@@ -495,13 +495,12 @@ TEST(ServiceFaults, ExhaustedDispatchRetriesParkInterrupted) {
 
   RunnerProbe probe;
   ServiceConfig config;
-  config.max_dispatch_retries = 2;
   config.runner = synthetic_runner(probe);
   BenchService service(std::move(config));
   TicketId id = service.submit({"a", "exp/v", "cts1"});
   auto st = service.wait(id);
   EXPECT_EQ(st.state, TicketState::interrupted);
-  EXPECT_EQ(st.attempts, 3);  // 1 + max_dispatch_retries
+  EXPECT_EQ(st.attempts, 3);  // support::kRetryAttempts
   EXPECT_EQ(service.stats().interrupted, 1u);
   // The campaign never ran: the fault killed dispatch before the runner.
   std::lock_guard<std::mutex> lock(probe.mu);
@@ -676,7 +675,6 @@ TEST(ServiceRestart, CrashStopReplaysDurableQueuedTickets) {
     config.base_dir = base.path();
     config.workers = 2;
     config.start_paused = true;  // nothing dispatches before the crash
-    config.durable_submits = true;
     config.runner = synthetic_runner(before);
     BenchService service(std::move(config));
     for (int i = 0; i < 10; ++i) {
