@@ -1,9 +1,9 @@
 #include "src/env/environment.hpp"
 
 #include <algorithm>
+#include <exception>
 
 #include "src/support/error.hpp"
-#include "src/support/parallel.hpp"
 
 namespace benchpark::env {
 
@@ -204,31 +204,26 @@ install::InstallReport Environment::install_all(
     install::Installer& installer,
     const install::InstallOptions& options) const {
   if (!concretized()) throw Error("environment is not concretized");
-  // Distinct roots install concurrently against the shared installer.
-  // The Coordination object elects one root (first in manifest order) as
-  // the builder of every shared hash, so a shared dependency builds
-  // exactly once and builder attribution — hence the merged log — is the
-  // same bytes run after run, even under an active fault plan. A failed
-  // shared build is posted to the failure board, waking waiting roots
-  // instead of wedging them; parallel_for waits for every root before
-  // rethrowing the first failure.
-  install::Installer::Coordination coord(concrete_specs_);
-  std::vector<install::InstallReport> reports(concrete_specs_.size());
-  const int threads = options.engine_threads > 0
-                          ? options.engine_threads
-                          : support::ThreadPool::default_threads();
-  support::parallel_for(
-      concrete_specs_.size(), threads, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          reports[i] = installer.install(concrete_specs_[i], options, &coord, i);
-        }
-      });
-
+  // Roots install in manifest order on one tree, so a shared dependency
+  // is built by the first root that needs it and every later root records
+  // it as already installed: builder attribution, and so the merged log,
+  // is the same bytes at every engine width. Each root's wavefronts still
+  // spread across the pool. A failed root does not stop the roots after
+  // it; the first failure is rethrown once every root has had its turn.
   install::InstallReport combined;
-  for (auto& report : reports) {
+  std::exception_ptr first_failure;
+  for (const auto& root : concrete_specs_) {
+    install::InstallReport report;
+    try {
+      report = installer.install(root, options);
+    } catch (...) {
+      if (!first_failure) first_failure = std::current_exception();
+      continue;
+    }
     combined.total_simulated_seconds += report.total_simulated_seconds;
-    // Roots run side by side, so the modeled wall-clock is the slowest
-    // root's chain, not the sum.
+    // critical_path_seconds models unbounded workers, under which the
+    // roots could build side by side: the modeled wall-clock is the
+    // slowest root's chain, not the sum.
     combined.critical_path_seconds = std::max(combined.critical_path_seconds,
                                               report.critical_path_seconds);
     combined.from_cache += report.from_cache;
@@ -240,6 +235,7 @@ install::InstallReport Environment::install_all(
     combined.build_log += report.build_log;
     for (auto& r : report.installed) combined.installed.push_back(std::move(r));
   }
+  if (first_failure) std::rethrow_exception(first_failure);
   return combined;
 }
 

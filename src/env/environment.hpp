@@ -68,6 +68,9 @@ public:
   static Environment from_lockfile(const yaml::Node& lockfile);
 
   // -- installation (spack install) -----------------------------------------
+  /// Install every root, in manifest order, through `installer`; later
+  /// roots reuse what earlier roots built. Every root gets its turn even
+  /// after one fails; the first failure is then rethrown.
   install::InstallReport install_all(
       install::Installer& installer,
       const install::InstallOptions& options = {}) const;

@@ -1,7 +1,6 @@
 #include "src/install/installer.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <unordered_map>
 
 #include "src/archspec/microarch.hpp"
@@ -88,43 +87,6 @@ void InstallTree::add(InstallRecord record) {
 
 // ---------------------------------------------------------------- Installer
 
-namespace {
-
-/// RAII release of an in-flight DAG-hash claim.
-struct FlightGuard {
-  std::mutex& mu;
-  std::condition_variable& cv;
-  std::unordered_set<std::string>& in_flight;
-  const std::string& hash;
-
-  ~FlightGuard() {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      in_flight.erase(hash);
-    }
-    cv.notify_all();
-  }
-};
-
-}  // namespace
-
-// ------------------------------------------------------------- Coordination
-
-Installer::Coordination::Coordination(const std::vector<spec::Spec>& roots) {
-  for (std::size_t i = 0; i < roots.size(); ++i) {
-    for (const spec::Spec* node : Installer::build_order(roots[i])) {
-      owner_.try_emplace(node->dag_hash(), i);
-    }
-  }
-}
-
-std::optional<std::size_t> Installer::Coordination::owner(
-    const std::string& dag_hash) const {
-  auto it = owner_.find(dag_hash);
-  if (it == owner_.end()) return std::nullopt;
-  return it->second;
-}
-
 Installer::Installer(pkg::RepoStack repos, InstallTree* tree,
                      buildcache::BinaryCache* cache)
     : repos_(std::move(repos)), tree_(tree), cache_(cache) {
@@ -149,13 +111,6 @@ std::vector<const spec::Spec*> Installer::build_order(
 
 InstallReport Installer::install(const spec::Spec& concrete,
                                  const InstallOptions& options) {
-  return install(concrete, options, nullptr, 0);
-}
-
-InstallReport Installer::install(const spec::Spec& concrete,
-                                 const InstallOptions& options,
-                                 Coordination* coord,
-                                 std::size_t root_index) {
   if (!concrete.concrete()) {
     throw Error("installer requires a concrete spec; run the concretizer "
                 "first: '" + concrete.str() + "'");
@@ -201,71 +156,35 @@ InstallReport Installer::install(const spec::Spec& concrete,
   std::vector<InstallRecord> records(count);
   std::vector<std::string> logs(count);
   // Per-node failure isolation: a failed node poisons only its dependents
-  // (each element is written by exactly one worker). Failed owned hashes
-  // are posted to the coordination board so other roots waiting on them
-  // wake up instead of deadlocking.
+  // (each element is written by exactly one worker).
   std::vector<char> failed(count, 0);
   std::vector<std::exception_ptr> errors(count);
-  auto mark_failed = [&](const std::string& hash, const std::string& why) {
-    if (!coord) return;
-    // Only the owning root may post a hash as failed: a non-owner that
-    // skips the node (because one of *its* deps failed) must not poison a
-    // build the owner is completing successfully.
-    auto it = coord->owner_.find(hash);
-    if (it == coord->owner_.end() || it->second != root_index) return;
-    {
-      std::lock_guard<std::mutex> lock(coord->mu_);
-      coord->failed_.try_emplace(hash, why);
-    }
-    coord->cv_.notify_all();
-  };
-  try {
-    for (const auto& wave : waves) {
-      support::parallel_for(
-          wave.size(), threads, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t w = lo; w < hi; ++w) {
-              std::size_t i = wave[w];
-              std::size_t bad_dep = count;
-              for (std::size_t d : dep_indices[i]) {
-                if (failed[d]) { bad_dep = d; break; }
-              }
-              if (bad_dep != count) {
-                failed[i] = 1;
-                logs[i] = "[x] " + order[i]->short_str() +
-                          " skipped: dependency '" +
-                          order[bad_dep]->name() + "' failed\n";
-                mark_failed(hashes[i], "dependency '" +
-                                           order[bad_dep]->name() +
-                                           "' failed");
-                continue;
-              }
-              try {
-                records[i] =
-                    install_one(*order[i], options, logs[i], coord,
-                                root_index);
-              } catch (const std::exception& e) {
-                failed[i] = 1;
-                errors[i] = std::current_exception();
-                logs[i] += "[x] " + order[i]->short_str() + " failed: " +
-                           e.what() + "\n";
-                mark_failed(hashes[i], e.what());
-              }
+  for (const auto& wave : waves) {
+    support::parallel_for(
+        wave.size(), threads, [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t w = lo; w < hi; ++w) {
+            std::size_t i = wave[w];
+            std::size_t bad_dep = count;
+            for (std::size_t d : dep_indices[i]) {
+              if (failed[d]) { bad_dep = d; break; }
             }
-          });
-    }
-  } catch (...) {
-    // Engine-level abort (not a per-node failure): make sure no other
-    // root blocks forever on a hash this root owned but never resolved.
-    if (coord) {
-      for (std::size_t i = 0; i < count; ++i) {
-        auto it = coord->owner_.find(hashes[i]);
-        if (it != coord->owner_.end() && it->second == root_index &&
-            !tree_->lookup(hashes[i])) {
-          mark_failed(hashes[i], "owning install aborted");
-        }
-      }
-    }
-    throw;
+            if (bad_dep != count) {
+              failed[i] = 1;
+              logs[i] = "[x] " + order[i]->short_str() +
+                        " skipped: dependency '" + order[bad_dep]->name() +
+                        "' failed\n";
+              continue;
+            }
+            try {
+              records[i] = install_one(*order[i], options, logs[i]);
+            } catch (const std::exception& e) {
+              failed[i] = 1;
+              errors[i] = std::current_exception();
+              logs[i] += "[x] " + order[i]->short_str() + " failed: " +
+                         e.what() + "\n";
+            }
+          }
+        });
   }
 
   InstallReport report;
@@ -314,41 +233,9 @@ InstallReport Installer::install(const spec::Spec& concrete,
   return report;
 }
 
-InstallRecord Installer::await_foreign(const spec::Spec& concrete,
-                                       std::string& log,
-                                       Coordination& coord) const {
-  const std::string hash = concrete.dag_hash();
-  std::unique_lock<std::mutex> lock(coord.mu_);
-  // Bounded wait: a coordination bug must surface as a loud error, never
-  // as a wedged DAG. The owner posts every hash it resolves (install or
-  // failure), so in a correct run this never times out.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::minutes(5);
-  bool resolved = coord.cv_.wait_until(lock, deadline, [&] {
-    return coord.failed_.count(hash) > 0 || tree_->lookup(hash).has_value();
-  });
-  if (!resolved) {
-    throw PermanentError("timed out waiting for '" + concrete.short_str() +
-                         "' to be installed by its owning root (wedged "
-                         "claim?)");
-  }
-  if (auto it = coord.failed_.find(hash); it != coord.failed_.end()) {
-    throw PermanentError("dependency '" + concrete.short_str() +
-                         "' failed in its owning install: " + it->second);
-  }
-  InstallRecord record = *tree_->lookup(hash);
-  record.source = InstallSource::already;
-  record.simulated_seconds = 0.0;
-  record.attempts = 0;
-  record.retry_wait_seconds = 0.0;
-  log += "[+] " + concrete.short_str() + " already installed\n";
-  return record;
-}
-
 InstallRecord Installer::install_one(const spec::Spec& concrete,
                                      const InstallOptions& options,
-                                     std::string& log, Coordination* coord,
-                                     std::size_t root_index) {
+                                     std::string& log) {
   InstallRecord record;
   record.spec = concrete;
   const std::string hash = concrete.dag_hash();
@@ -359,44 +246,16 @@ InstallRecord Installer::install_one(const spec::Spec& concrete,
       "install");
   if (pkg_span.active()) pkg_span.annotate("hash", hash);
 
-  // Coordinated installs defer hashes elected to another root: wait for
-  // the owner to install (or fail) instead of racing it, which makes the
-  // builder attribution — and so the whole report — deterministic.
-  if (coord) {
-    auto it = coord->owner_.find(hash);
-    if (it != coord->owner_.end() && it->second != root_index) {
-      pkg_span.annotate("outcome", "foreign");
-      return await_foreign(concrete, log, *coord);
-    }
+  if (auto existing = tree_->lookup(hash)) {
+    record = std::move(*existing);
+    record.source = InstallSource::already;
+    record.simulated_seconds = 0.0;
+    record.attempts = 0;
+    record.retry_wait_seconds = 0.0;
+    log += "[+] " + concrete.short_str() + " already installed\n";
+    pkg_span.annotate("outcome", "already");
+    return record;
   }
-  // Publish to waiters in other roots once this node is in the tree.
-  auto announce = [&] {
-    if (!coord) return;
-    { std::lock_guard<std::mutex> lock(coord->mu_); }
-    coord->cv_.notify_all();
-  };
-
-  // Claim the hash: exactly one worker builds a given package even when
-  // concurrent roots share a dependency; later arrivals block until the
-  // builder finishes, then see it in the tree. A builder that fails
-  // releases the claim (FlightGuard), so a blocked worker retries the
-  // build itself rather than deadlocking.
-  {
-    std::unique_lock<std::mutex> lock(flight_mu_);
-    flight_cv_.wait(lock, [&] { return in_flight_.count(hash) == 0; });
-    if (auto existing = tree_->lookup(hash)) {
-      record = std::move(*existing);
-      record.source = InstallSource::already;
-      record.simulated_seconds = 0.0;
-      record.attempts = 0;
-      record.retry_wait_seconds = 0.0;
-      log += "[+] " + concrete.short_str() + " already installed\n";
-      pkg_span.annotate("outcome", "already");
-      return record;
-    }
-    in_flight_.insert(hash);
-  }
-  FlightGuard release{flight_mu_, flight_cv_, in_flight_, hash};
 
   if (concrete.is_external()) {
     record.prefix = concrete.external_prefix();
@@ -407,7 +266,6 @@ InstallRecord Installer::install_one(const spec::Spec& concrete,
     log += "[e] " + concrete.short_str() + " external at " + record.prefix +
            "\n";
     tree_->add(record);
-    announce();
     return record;
   }
 
@@ -432,8 +290,7 @@ InstallRecord Installer::install_one(const spec::Spec& concrete,
                                {"result", "cache"}});
         }
         tree_->add(record);
-        announce();
-        return record;
+            return record;
       }
     } catch (const Error& e) {
       // A mirror that keeps failing must not fail the install: fall back
@@ -516,7 +373,6 @@ InstallRecord Installer::install_one(const spec::Spec& concrete,
               : std::string()) +
          ")\n";
   tree_->add(record);
-  announce();
 
   if (cache_) {
     try {

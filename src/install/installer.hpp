@@ -11,31 +11,29 @@
 // The engine schedules the closure as dependency wavefronts on the shared
 // ThreadPool: all DAG nodes whose dependencies are satisfied build or
 // fetch concurrently (engine_threads controls the width; 1 keeps the old
-// serial walk). The InstallTree locks internally and an in-flight claim
-// set guarantees a given DAG hash is built exactly once even when
-// distinct roots race on a shared dependency.
+// serial walk). Nodes of one wavefront are distinct hashes, so each is
+// built at most once per install() call; a node already in the tree is
+// recorded as already installed. One Installer serves one install() call
+// at a time: an environment's roots install one after another on the
+// same tree (Environment::install_all), and a later root reuses what an
+// earlier root built.
 //
 // Failure handling: every build step passes through the
 // "install.build_step" fault site and is retried per package through
 // support::retry_transient (the shared attempt budget and deterministic
 // backoff); cache fetches that keep failing fall back to source builds;
 // cache pushes are best-effort. A package that exhausts its retries
-// throws PermanentError, its in-flight claim is released (so a
-// concurrent worker may try again rather than deadlock), its dependents
-// are skipped, and the install reports the aggregate failure. For
-// concurrent multi-root installs a Coordination object deterministically
-// elects one root as the builder of every shared hash, which is what
-// makes same-seed install reports byte-identical run to run.
+// throws PermanentError, its dependents are skipped, everything
+// independent still installs, and the install reports the aggregate
+// failure. Nothing of a failed package is recorded, so a later call
+// tries it again.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/buildcache/binary_cache.hpp"
@@ -137,41 +135,13 @@ public:
   Installer(pkg::RepoStack repos, InstallTree* tree,
             buildcache::BinaryCache* cache);
 
-  /// Shared state for concurrent multi-root installs (one per
-  /// Environment::install_all call): a deterministic builder election —
-  /// every hash in the combined closure is built by the first root, in
-  /// manifest order, whose closure contains it — plus a failure board so
-  /// a root waiting on another root's package is woken (and fails loudly)
-  /// instead of deadlocking when the owning build fails or aborts.
-  class Coordination {
-  public:
-    /// Elect builders for the given roots (in order).
-    explicit Coordination(const std::vector<spec::Spec>& roots);
-
-    /// Owning root index for a hash, if any root's closure contains it.
-    [[nodiscard]] std::optional<std::size_t> owner(
-        const std::string& dag_hash) const;
-
-  private:
-    friend class Installer;
-    std::unordered_map<std::string, std::size_t> owner_;
-    std::mutex mu_;
-    std::condition_variable cv_;
-    std::unordered_map<std::string, std::string> failed_;  // hash → reason
-  };
-
   /// Install `concrete` and its full dependency closure. Throws
   /// PermanentError when any package in the closure fails for good (its
   /// dependents are skipped, everything independent still installs, and
-  /// in-flight claims are released so a later call can retry).
+  /// a later call tries the failed packages again). Not reentrant: one
+  /// call at a time per Installer.
   InstallReport install(const spec::Spec& concrete,
                         const InstallOptions& options = {});
-
-  /// As above, for one root of a coordinated multi-root install: nodes
-  /// owned by a different root are awaited rather than built.
-  InstallReport install(const spec::Spec& concrete,
-                        const InstallOptions& options, Coordination* coord,
-                        std::size_t root_index);
 
   /// Topological (dependencies-first) ordering of the spec closure,
   /// deduplicated by DAG hash.
@@ -180,21 +150,11 @@ public:
 
 private:
   InstallRecord install_one(const spec::Spec& concrete,
-                            const InstallOptions& options, std::string& log,
-                            Coordination* coord, std::size_t root_index);
-  InstallRecord await_foreign(const spec::Spec& concrete, std::string& log,
-                              Coordination& coord) const;
+                            const InstallOptions& options, std::string& log);
 
   pkg::RepoStack repos_;
   InstallTree* tree_;                  // not owned
   buildcache::BinaryCache* cache_;     // not owned; null = no cache
-
-  // In-flight claims: exactly one worker builds a given DAG hash; later
-  // arrivals (concurrent roots sharing a dependency) wait, then record it
-  // as already installed.
-  std::mutex flight_mu_;
-  std::condition_variable flight_cv_;
-  std::unordered_set<std::string> in_flight_;
 };
 
 /// Deterministic simulated artifact size for a package (bytes).

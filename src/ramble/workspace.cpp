@@ -262,7 +262,8 @@ void Workspace::setup_software() {
     install_report_.total_simulated_seconds +=
         report.total_simulated_seconds;
     // Environments install one after another here, so their modeled
-    // wall-clocks add (unlike roots inside one environment, which race).
+    // wall-clocks add (an environment's own critical path already takes
+    // the slowest of its roots, modeling unbounded workers).
     install_report_.critical_path_seconds += report.critical_path_seconds;
     install_report_.from_source += report.from_source;
     install_report_.from_cache += report.from_cache;
@@ -571,11 +572,12 @@ RunReport Workspace::run_all(const RunRequest& request) {
     support::write_file(exp.run_dir / (exp.name + ".out"), r.output);
   };
 
+  // Native experiments run one at a time (see RunRequest::threads).
+  int width = request.threads == 0 ? support::ThreadPool::default_threads()
+                                   : request.threads;
+  if (system_.name == "native") width = 1;
   support::parallel_for(
-      prepared_.size(),
-      request.threads == 0 ? support::ThreadPool::default_threads()
-                           : request.threads,
-      [&](std::size_t begin, std::size_t end) {
+      prepared_.size(), width, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) run_one(i);
       });
 

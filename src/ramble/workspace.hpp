@@ -110,7 +110,10 @@ struct ExperimentResult {
 
 /// Knobs for the parallel experiment-run engine (run_all / analyze).
 struct RunRequest {
-  /// Fan-out width: 0 = ThreadPool::default_threads(), 1 = serial.
+  /// Fan-out width: 0 = ThreadPool::default_threads(), 1 = serial. On the
+  /// "native" system experiments always run one at a time: each native
+  /// kernel spreads over the pool itself, and one started on a pool
+  /// worker would run inline on that one core.
   int threads = 0;
   /// Persistent result store consulted before executing each experiment
   /// (and written after). Overrides the workspace-level store for this
@@ -193,12 +196,13 @@ public:
   void setup();
 
   /// `ramble on`: execute every prepared experiment (simulated; "native"
-  /// runs kernels for real) concurrently on the shared ThreadPool (their
-  /// run dirs are disjoint, so they are independent). Each rendered
-  /// script is parsed as the batch system would read it: a node request
-  /// above the system's size throws SchedulerError, and a run longer
-  /// than its time limit is killed (clamped, failed, and decorated like
-  /// a scheduler kill). Each experiment gets a "workflow.experiment"
+  /// runs kernels for real, one experiment at a time) concurrently on the
+  /// shared ThreadPool (their run dirs are disjoint, so they are
+  /// independent). Each rendered script is parsed as the batch system
+  /// would read it: a node request above the system's size throws
+  /// SchedulerError, and a run longer than its time limit is killed
+  /// (clamped, failed, and decorated like a scheduler kill). Each
+  /// experiment gets a "workflow.experiment"
   /// span, workspace.experiments.* counters, and "experiment.exec" fault
   /// retry/backoff. Results — the .out files, their ordering, and the
   /// report — are byte-identical at every thread width: every retry and

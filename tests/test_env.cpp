@@ -10,6 +10,7 @@
 #include "src/install/installer.hpp"
 #include "src/support/error.hpp"
 #include "src/support/fault.hpp"
+#include "src/support/hash.hpp"
 #include "src/yaml/emitter.hpp"
 #include "src/system/system.hpp"
 #include "src/yaml/parser.hpp"
@@ -385,30 +386,51 @@ TEST(Environment, ConcurrentRootsBuildSharedDepsOnce) {
   auto c = simple_concretizer();
   e.concretize(c);
 
-  BinaryCache cache;
-  install::InstallTree tree;
-  install::Installer installer(pkg::default_repo_stack(), &tree, &cache);
-  install::InstallOptions options;
-  options.engine_threads = 4;
-  auto report = e.install_all(installer, options);
+  auto install_all = [&](int threads) {
+    SCOPED_TRACE("engine_threads=" + std::to_string(threads));
+    BinaryCache cache;
+    install::InstallTree tree;
+    install::Installer installer(pkg::default_repo_stack(), &tree, &cache);
+    install::InstallOptions options;
+    options.engine_threads = threads;
+    auto report = e.install_all(installer, options);
 
-  // Every closure node accounted for, and no DAG hash built twice: the
-  // in-flight claim turns the second root's shared deps into
-  // already-installed records (never duplicate source builds).
-  EXPECT_EQ(report.from_source + report.from_cache + report.externals +
-                report.already_installed,
-            report.installed.size());
-  std::map<std::string, int> source_builds;
-  for (const auto& record : report.installed) {
-    if (record.source == install::InstallSource::source_build) {
-      ++source_builds[record.spec.dag_hash()];
+    // Every closure node accounted for, and no DAG hash built twice: the
+    // second root finds the shared deps the first root built in the tree
+    // and records them as already installed (never duplicate source
+    // builds).
+    EXPECT_EQ(report.from_source + report.from_cache + report.externals +
+                  report.already_installed,
+              report.installed.size());
+    std::map<std::string, int> source_builds;
+    for (const auto& record : report.installed) {
+      if (record.source == install::InstallSource::source_build) {
+        ++source_builds[record.spec.dag_hash()];
+      }
     }
+    for (const auto& [hash, count] : source_builds) {
+      EXPECT_EQ(count, 1) << hash;
+    }
+    EXPECT_EQ(report.from_source, source_builds.size());
+    EXPECT_EQ(tree.size(), cache.stats().pushes + report.externals);
+    return report;
+  };
+  for (int threads : {1, 4}) install_all(threads);
+
+  // Pinned combined report of a clean run: the same figures at every
+  // engine width.
+  benchpark::support::ScopedFaultPlan scope;
+  benchpark::support::FaultPlan::global().clear();
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("clean, engine_threads=" + std::to_string(threads));
+    auto report = install_all(threads);
+    EXPECT_EQ(report.installed.size(), 11u);
+    EXPECT_EQ(report.from_source, 9u);
+    EXPECT_EQ(report.already_installed, 2u);
+    EXPECT_EQ(report.total_attempts, 9u);
+    EXPECT_DOUBLE_EQ(report.total_simulated_seconds, 280.93749999999994);
+    EXPECT_DOUBLE_EQ(report.critical_path_seconds, 203.43749999999997);
   }
-  for (const auto& [hash, count] : source_builds) {
-    EXPECT_EQ(count, 1) << hash;
-  }
-  EXPECT_EQ(report.from_source, source_builds.size());
-  EXPECT_EQ(tree.size(), cache.stats().pushes + report.externals);
 }
 
 TEST(Installer, ArchspecFlagsRecordedPerTarget) {
@@ -509,8 +531,8 @@ TEST(Installer, ExhaustedRetriesFailLoudlyAndReleaseClaims) {
   EXPECT_FALSE(tree.installed(*mpi));
   EXPECT_FALSE(tree.installed(spec));
 
-  // The failed build's in-flight claim must have been released: with the
-  // plan cleared, the same installer converges on a second try.
+  // Nothing of the failed build is left behind: with the plan cleared,
+  // the same installer converges on a second try.
   plan.clear();
   auto report = installer.install(spec, options);
   EXPECT_TRUE(tree.installed(spec));
@@ -585,9 +607,9 @@ TEST(Installer, FetchFailureFallsBackToSourceBuild) {
 }
 
 TEST(Environment, SameSeedChaosInstallsAreByteIdentical) {
-  // The acceptance bar: under a nonzero fault plan, a concurrent
-  // multi-root install converges with every package installed exactly
-  // once, and two runs with the same seed produce identical reports.
+  // The acceptance bar: under a nonzero fault plan, a multi-root install
+  // converges with every package installed exactly once, and runs with
+  // the same seed produce identical reports at every engine width.
   benchpark::support::ScopedFaultPlan scope;
   auto& plan = benchpark::support::FaultPlan::global();
   plan.clear();
@@ -600,24 +622,37 @@ TEST(Environment, SameSeedChaosInstallsAreByteIdentical) {
   auto c = simple_concretizer();
   e.concretize(c);
 
-  auto run = [&] {
+  auto run = [&](int threads) {
     BinaryCache cache;
     install::InstallTree tree;
     install::Installer installer(pkg::default_repo_stack(), &tree, &cache);
     install::InstallOptions options;
-    options.engine_threads = 4;
+    options.engine_threads = threads;
     auto report = e.install_all(installer, options);
     EXPECT_EQ(tree.size(), cache.stats().pushes + report.externals);
     return report;
   };
-  auto first = run();
-  auto second = run();
+  auto first = run(4);
+  auto second = run(4);
+  auto serial = run(1);
 
-  EXPECT_EQ(first.build_log, second.build_log);
-  EXPECT_EQ(first.total_attempts, second.total_attempts);
-  EXPECT_DOUBLE_EQ(first.total_simulated_seconds,
-                   second.total_simulated_seconds);
-  EXPECT_DOUBLE_EQ(first.retry_wait_seconds, second.retry_wait_seconds);
+  for (const auto* other : {&second, &serial}) {
+    EXPECT_EQ(first.build_log, other->build_log);
+    EXPECT_EQ(first.total_attempts, other->total_attempts);
+    EXPECT_DOUBLE_EQ(first.total_simulated_seconds,
+                     other->total_simulated_seconds);
+    EXPECT_DOUBLE_EQ(first.retry_wait_seconds, other->retry_wait_seconds);
+  }
+
+  // Pinned: fault decisions and backoff are pure functions of the seed,
+  // so these figures and log bytes must never drift.
+  EXPECT_EQ(first.total_attempts, 11u);
+  EXPECT_EQ(first.already_installed, 2u);
+  EXPECT_DOUBLE_EQ(first.total_simulated_seconds, 281.49787371307741);
+  EXPECT_DOUBLE_EQ(first.critical_path_seconds, 203.69822205347521);
+  EXPECT_DOUBLE_EQ(first.retry_wait_seconds, 0.56037371307745054);
+  EXPECT_EQ(benchpark::support::fnv1a(first.build_log),
+            0x11ed7558d98a7f52ull);
 
   // Exactly-once semantics under chaos: no hash built from source twice.
   std::map<std::string, int> source_builds;
@@ -635,8 +670,8 @@ TEST(Environment, SameSeedChaosInstallsAreByteIdentical) {
 }
 
 TEST(Environment, SharedDepPermanentFailureFailsFastWithoutDeadlock) {
-  // A shared dependency that fails for good must wake the roots waiting
-  // on it (via the coordination failure board), not wedge the DAG.
+  // A shared dependency that fails for good must fail every root that
+  // needs it, loudly and promptly, not wedge the DAG.
   benchpark::support::ScopedFaultPlan scope;
   auto& plan = benchpark::support::FaultPlan::global();
   plan.clear();
@@ -661,4 +696,49 @@ TEST(Environment, SharedDepPermanentFailureFailsFastWithoutDeadlock) {
   options.engine_threads = 4;
   EXPECT_THROW(e.install_all(installer, options), benchpark::PermanentError);
   EXPECT_FALSE(tree.installed(*mpi));
+}
+
+TEST(Environment, FailedRootStillInstallsIndependentRootsAtEveryWidth) {
+  // A root whose closure fails must not stop the roots after it: saxpy
+  // needs nothing of hypre, so it installs whatever the engine width.
+  benchpark::support::ScopedFaultPlan scope;
+  auto& plan = benchpark::support::FaultPlan::global();
+  plan.clear();
+
+  env::Environment e;
+  e.add("amg2023+caliper");
+  e.add("saxpy+openmp");
+  auto c = simple_concretizer();
+  e.concretize(c);
+  const auto* hypre = e.concrete_for("hypre");
+  const auto* saxpy = e.concrete_for("saxpy");
+  ASSERT_NE(hypre, nullptr);
+  ASSERT_NE(saxpy, nullptr);
+
+  benchpark::support::FaultRule rule;
+  rule.site = "install.build_step";
+  rule.key = hypre->dag_hash();
+  rule.kind = benchpark::support::FaultKind::permanent;
+  plan.add_rule(rule);
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("engine_threads=" + std::to_string(threads));
+    install::InstallTree tree;
+    install::Installer installer(pkg::default_repo_stack(), &tree, nullptr);
+    install::InstallOptions options;
+    options.engine_threads = threads;
+    try {
+      e.install_all(installer, options);
+      ADD_FAILURE() << "install should have failed";
+    } catch (const benchpark::PermanentError& err) {
+      EXPECT_EQ(std::string(err.what()),
+                "install of 'amg2023@=1.1' failed: 2 of 8 packages failed "
+                "or were skipped; first failure: injected permanent fault "
+                "at 'install.build_step' (key '" +
+                    hypre->dag_hash() + "'), attempt 1");
+    }
+    EXPECT_EQ(tree.size(), 7u);
+    EXPECT_TRUE(tree.installed(*saxpy));
+    EXPECT_FALSE(tree.installed(*hypre));
+  }
 }
